@@ -178,7 +178,6 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=Config.seed)
     ap.add_argument("--trials", type=int, default=Config.trials)
     ap.add_argument("--entry-bound", type=int, default=Config.entry_bound)
-    ap.add_argument("--expand-limit", type=int, default=Config.expand_limit)
     ap.add_argument("--format", choices=("json", "text"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("analyze", "lfd", "degrees", "tubes", "normal-form"):
@@ -200,9 +199,9 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    config = Config(prime=args.prime, seed=args.seed, trials=args.trials,
-                    entry_bound=args.entry_bound, expand_limit=args.expand_limit)
     try:
+        config = Config(prime=args.prime, seed=args.seed, trials=args.trials,
+                        entry_bound=args.entry_bound)
         q, d = _load(args.path)
         if args.command == "analyze":
             report, code = cmd_analyze(q, d, config)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .fields import DEFAULT_PRIME, GF, is_prime
+from .fields import DEFAULT_PRIME, GF
 
 
 @dataclass(frozen=True)
@@ -14,11 +14,9 @@ class Config:
     seed: int = 12345
     trials: int = 3
     entry_bound: int = 12
-    expand_limit: int = 8
 
     def __post_init__(self):
-        if not is_prime(self.prime) or self.prime == 2:
-            raise ValueError(f"prime must be an odd prime, got {self.prime}")
+        GF(self.prime)  # rejects moduli the F_p kernels cannot use
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 

@@ -90,11 +90,17 @@ class Rationals:
 
 
 class PrimeField:
-    """The field F_p for an odd prime p; elements are ints reduced to [0, p)."""
+    """The field F_p for an odd prime p < 2^31; elements are ints in [0, p).
+
+    The bound keeps every product of two elements below 2^62, which the
+    int64 kernels in ``matrix`` rely on.
+    """
 
     def __init__(self, p: int):
         if p == 2 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime, got {p}")
+        if p >= 2**31:
+            raise ValueError(f"modulus must be below 2^31, got {p}")
         self.p = p
         self.characteristic = p
 

@@ -1,4 +1,5 @@
-"""Dense exact matrices over Q or F_p: rank, nullspace, determinant.
+"""Dense exact matrices over Q or F_p: rank, nullspace, determinant, and
+matrices affine in a coordinate vector.
 
 Over Q the determinant uses fraction-free (Bareiss) elimination to contain
 coefficient growth; rank and nullspace use rational Gauss-Jordan. Over F_p
@@ -49,7 +50,7 @@ class ExactMatrix:
 
     @classmethod
     def from_numpy(cls, field, arr):
-        return cls(field, [[int(x) for x in row] for row in arr], shape=arr.shape)
+        return cls(field, arr.tolist(), shape=arr.shape)
 
     def copy(self):
         return ExactMatrix(self.field, [list(r) for r in self.rows],
@@ -66,9 +67,10 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.field}, {self.nrows}x{self.ncols})"
 
-    def gf_array(self) -> np.ndarray:
-        """int64 array of entries; only meaningful over F_p."""
-        return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
+    def to_numpy(self) -> np.ndarray:
+        """Entries as an int64 array over F_p, an object array over Q."""
+        dtype = np.int64 if isinstance(self.field, PrimeField) else object
+        return np.array(self.rows, dtype=dtype).reshape(self.nrows, self.ncols)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -81,7 +83,7 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
         f = self.field
         if isinstance(f, PrimeField):
-            prod = (self.gf_array() @ other.gf_array()) % f.p
+            prod = (self.to_numpy() @ other.to_numpy()) % f.p
             return ExactMatrix.from_numpy(f, prod)
         out = ExactMatrix.zeros(f, self.nrows, other.ncols)
         for i in range(self.nrows):
@@ -107,7 +109,7 @@ class ExactMatrix:
         """Reduced row echelon form. Returns (matrix, pivot column list)."""
         f = self.field
         if isinstance(f, PrimeField):
-            r, piv = _gf_rref(self.gf_array(), f.p)
+            r, piv = _gf_rref(self.to_numpy(), f.p)
             return ExactMatrix.from_numpy(f, r), piv
         m = [list(r) for r in self.rows]
         piv = []
@@ -153,8 +155,48 @@ class ExactMatrix:
             return self.field.one
         f = self.field
         if isinstance(f, PrimeField):
-            return int(_gf_det(self.gf_array(), f.p))
+            return int(_gf_det(self.to_numpy(), f.p))
         return _bareiss_det_q(self.rows)
+
+
+class AffinePencil:
+    """A matrix affine in a coordinate vector: M(x) = C + sum_k x_k E_k.
+
+    C is an int64 array (an object array over Q). The E_k are kept together
+    as rows (row, col, coord, coeff) of one int64 array of terms: cell
+    (row, col) gains coeff * x[coord]. A cell may hold several coordinates.
+    """
+
+    __slots__ = ("const", "terms")
+
+    def __init__(self, const, terms=None):
+        self.const = const
+        self.terms = (np.zeros((0, 4), dtype=np.int64) if terms is None
+                      else np.asarray(terms, dtype=np.int64).reshape(-1, 4))
+
+    @property
+    def shape(self):
+        return self.const.shape
+
+    def at(self, xvec, field) -> np.ndarray:
+        """M(x): a reduced int64 array over F_p, an object array over Q."""
+        rows, cols, coords, coeffs = self.terms.T
+        if isinstance(field, PrimeField):
+            p = field.p
+            x = np.array([int(v) % p for v in xvec], dtype=np.int64)
+            m = self.const % p
+            np.add.at(m, (rows, cols), coeffs * x[coords])
+            return m % p
+        x = np.array([field.element(v) for v in xvec], dtype=object)
+        m = self.const.astype(object)
+        np.add.at(m, (rows, cols), coeffs.astype(object) * x[coords])
+        return m
+
+    def det(self, xvec, field):
+        m = self.at(xvec, field)
+        if isinstance(field, PrimeField):
+            return _gf_det(m, field.p)
+        return ExactMatrix.from_numpy(field, m).det()
 
 
 def _bareiss_det_q(rows) -> Fraction:

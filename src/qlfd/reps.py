@@ -12,12 +12,13 @@ values depend on this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import QuiverInputError
 from .fields import PrimeField
-from .matrix import ExactMatrix, gf_rank
+from .matrix import AffinePencil, ExactMatrix, gf_rank
 from .quiver import Quiver, check_dim, euler_form, is_positive
 
 
@@ -112,64 +113,67 @@ def sample_representation(q: Quiver, d, field, rng) -> Representation:
 # -- the Hom/Ext linear map ---------------------------------------------------------
 
 
-def build_c_matrix(m: Representation, n: Representation) -> ExactMatrix:
-    """Matrix of (phi_i) -> (phi_{t a} f_a - g_a phi_{s a}), vertexwise blocks.
+def _kron(a, b):
+    """np.kron of two 2-D arrays, without its n-dimensional overhead."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
-    Domain: one block per vertex, Hom(V_i, W_i) flattened column-major.
-    Codomain: one block per arrow, Hom(V_{s a}, W_{t a}) flattened
-    column-major. Kernel dimension is Hom, cokernel dimension is Ext.
+
+def c_pencil(q: Quiver, m, n, field) -> AffinePencil:
+    """The map (phi_i) -> (phi_{t a} f_a - g_a phi_{s a}) as an affine pencil.
+
+    Each slot m, n is a Representation, whose blocks go into the constant
+    part, or a dimension vector d standing for the point x of Rep(q, d),
+    whose blocks become terms in the coordinates of x. Domain: one block per
+    vertex, Hom(V_i, W_i) flattened column-major. Codomain: one block per
+    arrow, Hom(V_{s a}, W_{t a}) flattened column-major.
     """
-    if m.quiver != n.quiver:
-        raise QuiverInputError("representations live on different quivers")
-    if m.field != n.field:
-        raise QuiverInputError("representations live over different fields")
-    q = m.quiver
-    md, nd = m.dim, n.dim
-    field = m.field
-    col_off = []
-    total_cols = 0
-    for i in range(q.n_vertices):
-        col_off.append(total_cols)
-        total_cols += md[i] * nd[i]
-    row_off = []
-    total_rows = 0
-    for s, t in q.arrow_indices():
-        row_off.append(total_rows)
-        total_rows += md[s] * nd[t]
+    for slot in (m, n):
+        if isinstance(slot, Representation):
+            if slot.quiver != q:
+                raise QuiverInputError("representations live on different quivers")
+            if slot.field != field:
+                raise QuiverInputError("representations live over different fields")
+    md, nd = ((r.dim if isinstance(r, Representation) else check_dim(q, r))
+              for r in (m, n))
+    arrows = q.arrow_indices()
+    col_off = list(accumulate((md[i] * nd[i] for i in range(q.n_vertices)), initial=0))
+    row_off = list(accumulate((md[s] * nd[t] for s, t in arrows), initial=0))
+    dtype = np.int64 if isinstance(field, PrimeField) else object
+    const = np.zeros((row_off[-1], col_off[-1]), dtype=dtype)
+    terms = [np.zeros((0, 4), dtype=np.int64)]
 
-    if isinstance(field, PrimeField):
-        a = np.zeros((total_rows, total_cols), dtype=np.int64)
-        for ai, (s, t) in enumerate(q.arrow_indices()):
-            blk_rows = md[s] * nd[t]
-            if blk_rows == 0:
-                continue
-            r0 = row_off[ai]
-            if md[t] * nd[t]:
-                f = m.mats[ai].gf_array()  # md[t] x md[s]
-                a[r0:r0 + blk_rows, col_off[t]:col_off[t] + md[t] * nd[t]] += \
-                    np.kron(f.T, np.eye(nd[t], dtype=np.int64))
-            if md[s] * nd[s]:
-                g = n.mats[ai].gf_array()  # nd[t] x nd[s]
-                a[r0:r0 + blk_rows, col_off[s]:col_off[s] + md[s] * nd[s]] -= \
-                    np.kron(np.eye(md[s], dtype=np.int64), g)
-        return ExactMatrix.from_numpy(field, a % field.p)
+    def arrow_matrices(slot):
+        if isinstance(slot, Representation):
+            return [mat.to_numpy() for mat in slot.mats]
+        # the point: coordinate index + 1 of each entry, so 0 marks no cell
+        offs, _ = coord_offsets(q, slot)
+        return [off + 1 + np.arange(slot[s] * slot[t]).reshape(slot[s], slot[t]).T
+                for off, (s, t) in zip(offs, arrows)]
 
-    out = ExactMatrix.zeros(field, total_rows, total_cols)
-    for ai, (s, t) in enumerate(q.arrow_indices()):
-        f = m.mats[ai]
-        g = n.mats[ai]
-        r0 = row_off[ai]
-        # + phi_t f: row (r, c) of the output picks up f[k][c] * phi_t[r][k]
-        for c in range(md[s]):
-            for r in range(nd[t]):
-                row = r0 + c * nd[t] + r
-                for k in range(md[t]):
-                    col = col_off[t] + k * nd[t] + r
-                    out.rows[row][col] += f.rows[k][c]
-                for k in range(nd[s]):
-                    col = col_off[s] + c * nd[s] + k
-                    out.rows[row][col] -= g.rows[r][k]
-    return out
+    def put(slot, r0, c0, block, sign):
+        if isinstance(slot, Representation):
+            const[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += sign * block
+        else:
+            r, c = np.nonzero(block)
+            terms.append(np.column_stack(
+                (r + r0, c + c0, block[r, c] - 1, np.full(r.size, sign))))
+
+    for ai, ((s, t), f, g) in enumerate(zip(arrows, arrow_matrices(m),
+                                            arrow_matrices(n))):
+        # f is md[t] x md[s], g is nd[t] x nd[s]
+        put(m, row_off[ai], col_off[t], _kron(f.T, np.eye(nd[t], dtype=np.int64)), 1)
+        put(n, row_off[ai], col_off[s], _kron(np.eye(md[s], dtype=np.int64), g), -1)
+    return AffinePencil(const, np.concatenate(terms))
+
+
+def build_c_matrix(m: Representation, n: Representation) -> ExactMatrix:
+    """The c map between two fixed representations (see c_pencil).
+
+    Kernel dimension is Hom, cokernel dimension is Ext.
+    """
+    c = c_pencil(m.quiver, m, n, m.field)
+    return ExactMatrix.from_numpy(m.field, c.at((), m.field))
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,7 @@ class HomExtReport:
 def hom_ext(m: Representation, n: Representation) -> HomExtReport:
     c = build_c_matrix(m, n)
     if isinstance(m.field, PrimeField):
-        rk = gf_rank(c.gf_array(), m.field.p)
+        rk = gf_rank(c.to_numpy(), m.field.p)
     else:
         rk = c.rank()
     hom = c.ncols - rk

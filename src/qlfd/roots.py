@@ -290,19 +290,29 @@ def tube_chain_acyclic(t: Tube, parts) -> bool:
     if not (all(total[i] <= delta[i] for i in range(n)) and tuple(total) != delta):
         raise QuiverInputError("dimension sum of parts must be < delta")
     k = len(parts)
-    edges = {i: [j for j in range(k) if j != i
-                 and tube_ext_nonzero(t, parts[i], parts[j])]
-             for i in range(k)}
-    state = [0] * k  # 0 unseen, 1 on stack, 2 done
+    return topological_order([[j for j in range(k) if j != i
+                               and tube_ext_nonzero(t, parts[i], parts[j])]
+                              for i in range(k)]) is not None
 
-    def dfs(i):
+
+def topological_order(succ):
+    """DFS post-order of the digraph i -> succ[i], or None on a directed cycle.
+
+    Every vertex comes after all of its successors; vertices and successors
+    are visited in the given order, so the result is deterministic.
+    """
+    state = [0] * len(succ)  # 0 unseen, 1 on stack, 2 done
+    order = []
+
+    def visit(i):
         state[i] = 1
-        for j in edges[i]:
-            if state[j] == 1:
-                return False
-            if state[j] == 0 and not dfs(j):
+        for j in succ[i]:
+            if state[j] == 1 or (state[j] == 0 and not visit(j)):
                 return False
         state[i] = 2
+        order.append(i)
         return True
 
-    return all(state[i] == 2 or dfs(i) for i in range(k))
+    if all(state[i] == 2 or visit(i) for i in range(len(succ))):
+        return order
+    return None

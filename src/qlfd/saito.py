@@ -24,93 +24,43 @@ import numpy as np
 from .config import Config
 from .errors import (DisconnectedQuiver, NonSquare, NotSincere,
                      PrimeTooSmall, QuiverInputError)
-from .fields import GF, PrimeField
-from .matrix import ExactMatrix, _gf_det
+from .fields import GF
+from .matrix import AffinePencil
 from .multipoly import MultiPoly, sym_det
 from .poly import interpolate
 from .quiver import (Quiver, check_dim, classify_graph, euler_form,
                      euler_matrix, is_positive, is_sincere, is_tree,
                      rep_dimension, stages, support_pair, tits_form)
-from .reps import (Representation, build_c_matrix, coord_offsets,
-                   coords_from_rep, hom_ext, is_schur_root, perp_candidates,
-                   rep_from_coords, sample_representation)
+from .reps import (Representation, c_pencil, coord_offsets, coords_from_rep,
+                   hom_ext, is_schur_root, perp_candidates,
+                   sample_representation)
+from .roots import topological_order
 
 
-# -- linear forms and the Saito matrix ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """Integer linear form in the coordinates of the representation space."""
-
-    coeffs: tuple = ()  # ((coord index, integer coefficient), ...)
-    const: int = 0
-
-    def evaluate(self, xvec, field):
-        acc = field.element(self.const)
-        for idx, c in self.coeffs:
-            acc = field.add(acc, field.mul(field.element(c), xvec[idx]))
-        return acc
-
-    def is_zero(self):
-        return not self.coeffs and self.const == 0
+# -- the Saito matrix ------------------------------------------------------------------
 
 
 class SaitoMatrix:
     """Rows: matrix-unit basis of gl(Q,d) modulo scalars; columns: coordinates.
 
     Entry (A, j) is the j-th coordinate of the linear vector field induced
-    by the basis element A, i.e. of x -> (A_t x_a - x_a A_s)_a. The dropped
-    basis element is the last diagonal unit of the last vertex; any other
-    complement of the scalars changes the determinant by a nonzero constant.
+    by the basis element A, i.e. of x -> (A_t x_a - x_a A_s)_a, so the matrix
+    is an affine pencil with zero constant part. The dropped basis element is
+    the last diagonal unit of the last vertex; any other complement of the
+    scalars changes the determinant by a nonzero constant.
     """
 
-    def __init__(self, quiver, dim, row_labels, entries):
+    def __init__(self, quiver, dim, row_labels, pencil: AffinePencil):
         self.quiver = quiver
         self.dim = dim
         self.row_labels = row_labels
-        self.entries = entries
-        self.n = len(entries)
-        self._tables = None
-
-    def _fast_tables(self):
-        """(coeff, index) tables when every entry is 0 or a single monomial."""
-        if self._tables is None:
-            n = self.n
-            coeff = np.zeros((n, n), dtype=np.int64)
-            idx = np.full((n, n), n, dtype=np.int64)  # sentinel: extra zero slot
-            simple = True
-            for i in range(n):
-                for j in range(n):
-                    e = self.entries[i][j]
-                    if e.const != 0 or len(e.coeffs) > 1:
-                        simple = False
-                        break
-                    if e.coeffs:
-                        idx[i, j], coeff[i, j] = e.coeffs[0]
-                if not simple:
-                    break
-            self._tables = (coeff, idx, simple)
-        return self._tables
-
-    def numeric_matrix(self, xvec, field) -> ExactMatrix:
-        if len(xvec) != self.n:
-            raise QuiverInputError("coordinate vector has wrong length")
-        if isinstance(field, PrimeField):
-            coeff, idx, simple = self._fast_tables()
-            if simple:
-                x = np.array([int(v) for v in xvec] + [0], dtype=np.int64) % field.p
-                return ExactMatrix.from_numpy(field, coeff * x[idx] % field.p)
-        rows = [[e.evaluate(xvec, field) for e in row] for row in self.entries]
-        return ExactMatrix(field, rows, shape=(self.n, self.n))
+        self.pencil = pencil
+        self.n = pencil.shape[0]
 
     def det_at(self, xvec, field):
-        if isinstance(field, PrimeField):
-            coeff, idx, simple = self._fast_tables()
-            if simple:
-                x = np.array([int(v) for v in xvec] + [0], dtype=np.int64) % field.p
-                return _gf_det(coeff * x[idx] % field.p, field.p)
-        return self.numeric_matrix(xvec, field).det()
+        if len(xvec) != self.n:
+            raise QuiverInputError("coordinate vector has wrong length")
+        return self.pencil.det(xvec, field)
 
 
 def build_saito_matrix(q: Quiver, d) -> SaitoMatrix:
@@ -133,26 +83,22 @@ def build_saito_matrix(q: Quiver, d) -> SaitoMatrix:
                 labels.append((v, r0, c0))
     labels.pop()  # drop the last diagonal unit of the last vertex
     arrows = q.arrow_indices()
-    entries = []
-    for (v, r0, c0) in labels:
+    terms = {}  # (row, col, coord) -> coefficient
+    for i, (v, r0, c0) in enumerate(labels):
         vi = q.vertex_index(v)
-        row = [{} for _ in range(total)]
         for ai, (s, t) in enumerate(arrows):
             off = offs[ai]
             if t == vi:
                 for c in range(d[s]):
-                    col = off + c * d[t] + r0
-                    src = off + c * d[t] + c0
-                    row[col][src] = row[col].get(src, 0) + 1
+                    key = (i, off + c * d[t] + r0, off + c * d[t] + c0)
+                    terms[key] = terms.get(key, 0) + 1
             if s == vi:
                 for r in range(d[t]):
-                    col = off + c0 * d[t] + r
-                    src = off + r0 * d[t] + r
-                    row[col][src] = row[col].get(src, 0) - 1
-        entries.append([LinearForm(tuple(sorted((k, v) for k, v in cell.items()
-                                                if v != 0)))
-                        for cell in row])
-    return SaitoMatrix(q, d, tuple(labels), entries)
+                    key = (i, off + c0 * d[t] + r, off + r0 * d[t] + r)
+                    terms[key] = terms.get(key, 0) - 1
+    pencil = AffinePencil(np.zeros((total, total), dtype=np.int64),
+                          [(*key, c) for key, c in sorted(terms.items()) if c])
+    return SaitoMatrix(q, d, tuple(labels), pencil)
 
 
 def evaluate_f(s: SaitoMatrix, point):
@@ -168,17 +114,10 @@ def evaluate_f(s: SaitoMatrix, point):
 def single_coordinate_basis_check(s: SaitoMatrix) -> bool:
     """Every entry is a scalar multiple of one coordinate with no constant,
     and no coordinate repeats within a row."""
-    for row in s.entries:
-        used = set()
-        for e in row:
-            if e.const != 0 or len(e.coeffs) > 1:
-                return False
-            if e.coeffs:
-                idx = e.coeffs[0][0]
-                if idx in used:
-                    return False
-                used.add(idx)
-    return True
+    rows, cols, coords, _ = s.pencil.terms.T
+    return (not s.pencil.const.any()
+            and len(set(zip(rows, cols))) == len(rows)
+            and len(set(zip(rows, coords))) == len(rows))
 
 
 def expand_f_symbolic(s: SaitoMatrix, expand_limit: int = 8) -> MultiPoly:
@@ -186,14 +125,10 @@ def expand_f_symbolic(s: SaitoMatrix, expand_limit: int = 8) -> MultiPoly:
     if s.n > expand_limit:
         raise ValueError(f"symbolic expansion gated to n <= {expand_limit}")
     nvars = s.n
-    grid = []
-    for row in s.entries:
-        grid.append([])
-        for e in row:
-            p = MultiPoly.const(nvars, e.const)
-            for idx, c in e.coeffs:
-                p = p.add(MultiPoly.coordinate(idx, nvars, c))
-            grid[-1].append(p)
+    grid = [[MultiPoly.const(nvars, c) for c in row]
+            for row in s.pencil.const.tolist()]
+    for i, j, k, c in s.pencil.terms.tolist():
+        grid[i][j] = grid[i][j].add(MultiPoly.coordinate(k, nvars, c))
     return sym_det(grid)
 
 
@@ -298,8 +233,8 @@ def component_degree(q: Quiver, d, m, side: str) -> int:
     return sum(h[v] * d[i] * chi[i] for i, v in enumerate(q.vertices))
 
 
-def relative_invariant_det(q: Quiver, d, m_rep: Representation, side: str):
-    """Evaluator x -> det(c between x and m_rep); degree = component_degree.
+def invariant_pencil(q: Quiver, d, m_rep: Representation, side: str):
+    """The c-matrix between the point x of Rep(q, d) and m_rep, as a pencil.
 
     Right side: the point occupies the first slot of the c map; left side
     the second. Squareness is forced by the Euler orthogonality and checked.
@@ -309,40 +244,40 @@ def relative_invariant_det(q: Quiver, d, m_rep: Representation, side: str):
     if side == "right":
         if euler_form(q, d, m) != 0:
             raise NonSquare("<d, dim M> must vanish for the right invariant")
+        slots = (d, m_rep)
     elif side == "left":
         if euler_form(q, m, d) != 0:
             raise NonSquare("<dim M, d> must vanish for the left invariant")
+        slots = (m_rep, d)
     else:
         raise QuiverInputError("side must be 'left' or 'right'")
+    return c_pencil(q, *slots, m_rep.field)
+
+
+def relative_invariant_det(q: Quiver, d, m_rep: Representation, side: str):
+    """Evaluator x -> det(c between x and m_rep); degree = component_degree."""
+    pencil = invariant_pencil(q, d, m_rep, side)
+    d = check_dim(q, d)
 
     def evaluator(point: Representation):
-        pair = (point, m_rep) if side == "right" else (m_rep, point)
-        c = build_c_matrix(*pair)
-        if c.nrows != c.ncols:
-            raise NonSquare("c matrix is not square")
-        return c.det()
+        if point.quiver != q or point.dim != d or point.field != m_rep.field:
+            raise QuiverInputError("point does not match the invariant's shape")
+        return pencil.det(coords_from_rep(point), m_rep.field)
 
     return evaluator
 
 
-def _invariant_value_at_coords(q, d, m_rep, side, xvec, field):
-    point = rep_from_coords(q, d, xvec, field)
-    pair = (point, m_rep) if side == "right" else (m_rep, point)
-    c = build_c_matrix(*pair)
-    return c.det()
-
-
-def _degree_matches(q, d, m_rep, side, expected, field, rng) -> bool:
-    """Line-restriction degree probe: interpolate on expected+1 nodes and
-    cross-check two extra nodes; also requires a nonzero leading term."""
-    _, total = coord_offsets(q, d)
+def _degree_matches(pencil, n, expected, field, rng) -> bool:
+    """Line-restriction degree probe in the n coordinates of the point:
+    interpolate on expected+1 nodes and cross-check two extra nodes; also
+    requires a nonzero leading term."""
     p = field.p
-    a = [rng.randrange(p) for _ in range(total)]
-    b = [rng.randrange(p) for _ in range(total)]
+    a = [rng.randrange(p) for _ in range(n)]
+    b = [rng.randrange(p) for _ in range(n)]
     pts = []
     for t in range(expected + 3):
         xvec = [(ai + t * bi) % p for ai, bi in zip(a, b)]
-        pts.append((t, _invariant_value_at_coords(q, d, m_rep, side, xvec, field)))
+        pts.append((t, pencil.det(xvec, field)))
     poly = interpolate(field, pts[:expected + 1])
     if poly.degree != expected:
         return False
@@ -446,9 +381,9 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
                 continue
             for _ in range(3):
                 m_rep = sample_representation(q, c.vector, field, rng)
-                if _degree_matches(q, d, m_rep, side, deg, field, rng):
-                    vals = [_invariant_value_at_coords(q, d, m_rep, side, x, field)
-                            for x in pts]
+                pencil = invariant_pencil(q, d, m_rep, side)
+                if _degree_matches(pencil, n, deg, field, rng):
+                    vals = [pencil.det(x, field) for x in pts]
                     scored.append({"vector": c.vector, "degree": deg,
                                    "values": vals})
                     break
@@ -525,36 +460,11 @@ class HomogeneityCertificate:
 def _ext_digraph_certificate(ext, route) -> HomogeneityCertificate:
     """From a pairwise ext-nonvanishing table to an ordering or grouping."""
     k = len(ext)
-    if any(ext[i][i] for i in range(k)):
-        rigid = False
-    else:
-        rigid = True
+    rigid = not any(ext[i][i] for i in range(k))
     # Topological order of "i must come after j when ext[i][j] != 0".
-    order = []
-    state = [0] * k
-    acyclic = True
-
-    def dfs(i):
-        nonlocal acyclic
-        state[i] = 1
-        for j in range(k):
-            if j == i or not ext[i][j]:
-                continue
-            if state[j] == 1:
-                acyclic = False
-                return
-            if state[j] == 0:
-                dfs(j)
-                if not acyclic:
-                    return
-        state[i] = 2
-        order.append(i)
-
-    for i in range(k):
-        if state[i] == 0:
-            dfs(i)
-            if not acyclic:
-                break
+    order = topological_order([[j for j in range(k) if j != i and ext[i][j]]
+                               for i in range(k)])
+    acyclic = order is not None
     if acyclic and rigid and route == "concrete":
         return HomogeneityCertificate("quasihomogeneous", ordering=tuple(order),
                                       route=route)

@@ -150,7 +150,7 @@ def test_acceptance_6_small_case_oracle():
         assert n <= 8
         # Exact side: full expansion, verified factorization, exact
         # squarefreeness via distinct irreducible factors.
-        f = expand_f_symbolic(s, CFG.expand_limit)
+        f = expand_f_symbolic(s)
         factors = [build(n) for build in factor_builders]
         assert f.is_homogeneous() and f.total_degree() == n, name
         assert f.proportional_to(product(factors, n)), name

@@ -95,6 +95,16 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert main(["lfd", str(missing_dim)]) == 1
 
 
+def test_bad_config_is_a_json_error(capsys):
+    for argv in (["--prime", "9", "analyze", path("a2.json")],
+                 ["--trials", "0", "lfd", path("a2.json")],
+                 ["--prime", "2305843009213693951", "lfd", path("a2.json")]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
+
+
 def test_text_format(capsys):
     code = main(["--format", "text", "analyze", path("a2.json")])
     out = capsys.readouterr().out

@@ -4,8 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qlfd import ExactMatrix, GF, QQ, UnivariatePoly, interpolate
+from qlfd import (ExactMatrix, GF, QQ, UnivariatePoly, build_saito_matrix,
+                  interpolate, reducedness_test)
+from qlfd.config import Config
 from qlfd.errors import PrimeTooSmall
+
+from conftest import a2
 
 F = GF(2**31 - 1)
 
@@ -117,6 +121,18 @@ def test_prime_too_small():
     poly = UnivariatePoly(p5, [1, 1, 0, 0, 0, 0, 0, 1])  # degree 7 >= 5
     with pytest.raises(PrimeTooSmall):
         poly.is_squarefree()
+
+
+def test_prime_must_fit_int64_kernels():
+    # products of two residues must stay below 2^62
+    assert GF(2**31 - 1).p == 2**31 - 1
+    for p in (4294967311, 2**61 - 1):
+        with pytest.raises(ValueError):
+            GF(p)
+        with pytest.raises(ValueError):
+            Config(prime=p)
+        with pytest.raises(ValueError):
+            reducedness_test(build_saito_matrix(a2(), (1, 1)), primes=(p,))
 
 
 def test_interpolate_quadratic():

@@ -43,6 +43,39 @@ def test_c_matrix_shapes():
     assert c.nrows == sum(m.dim[s] * n.dim[t] for s, t in q.arrow_indices())
 
 
+def _c_matrix_by_loops(m, n):
+    """Entrywise reference for build_c_matrix: phi_t f - g phi_s, block by block."""
+    q, md, nd, field = m.quiver, m.dim, n.dim, m.field
+    col_off = [sum(md[j] * nd[j] for j in range(i)) for i in range(q.n_vertices + 1)]
+    nrows = sum(md[s] * nd[t] for s, t in q.arrow_indices())
+    out = [[field.zero] * col_off[-1] for _ in range(nrows)]
+    r0 = 0
+    for ai, (s, t) in enumerate(q.arrow_indices()):
+        f, g = m.mats[ai].rows, n.mats[ai].rows
+        for c in range(md[s]):
+            for r in range(nd[t]):
+                row = out[r0 + c * nd[t] + r]
+                for k in range(md[t]):
+                    col = col_off[t] + k * nd[t] + r
+                    row[col] = field.add(row[col], f[k][c])
+                for k in range(nd[s]):
+                    col = col_off[s] + c * nd[s] + k
+                    row[col] = field.sub(row[col], g[r][k])
+        r0 += md[s] * nd[t]
+    return out
+
+
+def test_c_matrix_matches_loop_reference():
+    rng = random.Random(3)
+    loop = Quiver(("1", "2", "3"), (("1", "2"), ("2", "2"), ("2", "3")))
+    for q, md, nd in ((d4_in(), (1, 2, 1, 2), (2, 1, 1, 3)),
+                      (loop, (2, 3, 1), (1, 2, 2)), (a3(), (0, 1, 2), (1, 0, 1))):
+        for field in (F, QQ):
+            m = sample_representation(q, md, field, rng)
+            n = sample_representation(q, nd, field, rng)
+            assert build_c_matrix(m, n).rows == _c_matrix_by_loops(m, n)
+
+
 def test_c_matrix_quiver_mismatch():
     with pytest.raises(QuiverInputError):
         build_c_matrix(rep_a2(1),

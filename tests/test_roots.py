@@ -8,6 +8,7 @@ from qlfd import (classify_graph, coxeter_matrix, defect, find_tubes,
                   tits_form, tube_chain_acyclic, tube_ext_nonzero)
 from qlfd.errors import CyclicQuiver, NotTame, QuiverInputError
 from qlfd.quiver import Quiver
+from qlfd.roots import topological_order
 
 from conftest import a2, a3, cycle, d4_in, kronecker
 
@@ -197,3 +198,11 @@ def test_tube_chain_dimension_guard(e7_pair):
     t = next(t for t in find_tubes(q7) if t.period == 2)
     with pytest.raises(QuiverInputError):
         tube_chain_acyclic(t, [(0, 1), (1, 1)])  # sums to delta exactly
+
+
+def test_topological_order():
+    # successors come first; a directed cycle gives None
+    assert topological_order([[1], [2], []]) == [2, 1, 0]
+    assert topological_order([[], [0], [0, 1]]) == [0, 1, 2]
+    assert topological_order([[1], [2], [0]]) is None
+    assert topological_order([]) == []

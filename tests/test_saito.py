@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,9 +11,11 @@ from qlfd import (GF, Quiver, build_saito_matrix, component_degree, component_de
                   single_coordinate_basis_check, stages, tits_form)
 from qlfd.config import Config
 from qlfd.errors import NonSquare, NotSincere, QuiverInputError
+from qlfd.fields import QQ
+from qlfd.matrix import AffinePencil
 from qlfd.multipoly import MultiPoly, product, quadratic_gram_rank
-from qlfd.reps import rep_from_coords
-from qlfd.saito import LinearForm, SaitoMatrix
+from qlfd.reps import build_c_matrix, rep_from_coords
+from qlfd.saito import SaitoMatrix, invariant_pencil
 
 from conftest import a2, a3, cycle, d4_in, d4_out, kronecker
 
@@ -23,11 +26,10 @@ CFG = Config()
 def test_saito_a2():
     s = build_saito_matrix(a2(), (1, 1))
     assert s.n == 1
-    entry = s.entries[0][0]
-    assert entry.const == 0
-    assert len(entry.coeffs) == 1
-    idx, coeff = entry.coeffs[0]
-    assert idx == 0 and coeff in (1, -1)
+    assert not s.pencil.const.any()
+    assert len(s.pencil.terms) == 1
+    row, col, idx, coeff = s.pencil.terms[0]
+    assert (row, col, idx) == (0, 0, 0) and coeff in (1, -1)
     point = rep_from_coords(a2(), (1, 1), [5], F)
     assert evaluate_f(s, point) in (5, F.p - 5)
 
@@ -107,8 +109,9 @@ def test_reducedness_negative_controls():
 
 def test_reducedness_identically_zero():
     s = build_saito_matrix(d4_in(), (1, 1, 1, 2))
+    terms = s.pencil.terms
     dead = SaitoMatrix(s.quiver, s.dim, s.row_labels,
-                       [[LinearForm() for _ in range(s.n)]] + s.entries[1:])
+                       AffinePencil(s.pencil.const, terms[terms[:, 0] != 0]))
     assert reducedness_test(dead, 3, (CFG.prime,), 0).value == "identically_zero"
 
 
@@ -117,10 +120,30 @@ def test_single_coordinate_check():
                  (a3(), (1, 1, 1)), (d4_out(), (1, 1, 1, 2))):
         assert single_coordinate_basis_check(build_saito_matrix(q, d))
     s = build_saito_matrix(a3(), (1, 1, 1))
-    broken = SaitoMatrix(
+    terms = s.pencil.terms
+    kept = terms[(terms[:, 0] != 0) | (terms[:, 1] != 0)]
+    broken = SaitoMatrix(  # cell (0, 0) becomes x_0 + x_1
         s.quiver, s.dim, s.row_labels,
-        [[LinearForm(((0, 1), (1, 1)))] + s.entries[0][1:]] + s.entries[1:])
+        AffinePencil(s.pencil.const, [(0, 0, 0, 1), (0, 0, 1, 1), *kept]))
     assert not single_coordinate_basis_check(broken)
+
+
+def test_saito_loop_cells_hold_two_coordinates():
+    # A3 with a loop at 2: q_Q(d) = 1, and some Saito cells sum two coordinates.
+    q = Quiver(("1", "2", "3"), (("1", "2"), ("2", "2"), ("2", "3")))
+    d = (2, 4, 5)
+    s = build_saito_matrix(q, d)
+    assert tits_form(q, d) == 1 and s.n == 44
+    cells = Counter(map(tuple, s.pencil.terms[:, :2].tolist()))
+    assert sorted(Counter(cells.values()).items()) == [(1, 320), (2, 12)]
+    rng = random.Random(4)
+    for _ in range(3):
+        x = [rng.randrange(-50, 50) for _ in range(s.n)]
+        over_q = s.pencil.at(x, QQ)
+        assert (s.pencil.at(x, F) == [[int(v) % F.p for v in row]
+                                      for row in over_q]).all()
+    assert reducedness_test(s, 3, (CFG.prime,), 0).value == "identically_zero"
+    assert not single_coordinate_basis_check(s)
 
 
 def test_lfd_verdicts():
@@ -243,6 +266,29 @@ def test_relative_invariant_product_matches_f():
             continue
         units.add(px * pow(fx, F.p - 2, F.p) % F.p)
     assert len(units) == 1
+
+
+def test_invariant_pencil_matches_c_matrix():
+    # det of the c-matrix pencil at x equals det c(rep_from_coords(x), M) on
+    # both sides, over F_p and over Q.
+    rng = random.Random(5)
+    q = d4_in()
+    d = (1, 1, 1, 2)
+    for field in (F, QQ):
+        for side in ("left", "right"):
+            # the orthogonal roots of d on that side
+            vectors = {"left": ((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)),
+                       "right": ((0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1))}[side]
+            for m in vectors:
+                m_rep = sample_representation(q, m, field, rng)
+                pencil = invariant_pencil(q, d, m_rep, side)
+                ev = relative_invariant_det(q, d, m_rep, side)
+                for _ in range(4):
+                    x = [field.random(rng) for _ in range(6)]
+                    point = rep_from_coords(q, d, x, field)
+                    pair = (point, m_rep) if side == "right" else (m_rep, point)
+                    expected = build_c_matrix(*pair).det()
+                    assert pencil.det(x, field) == expected == ev(point)
 
 
 # -- symbolic oracle ---------------------------------------------------------------
