@@ -22,7 +22,7 @@ from .roots import (CoxeterMatrix, Tube, coxeter_matrix, defect, find_tubes,
 from .saito import (LfdReport, SaitoMatrix, build_saito_matrix,
                     component_degree, component_degrees_report,
                     degree_sum_check, euler_homogeneity_witness, evaluate_f,
-                    expand_f_symbolic, lfd_verdict, quasihom_certificate,
+                    lfd_verdict, quasihom_certificate,
                     reducedness_test, relative_invariant_det,
                     single_coordinate_basis_check)
 

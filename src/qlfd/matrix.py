@@ -1,10 +1,11 @@
 """Dense exact matrices over Q or F_p: rank, nullspace, determinant, and
 matrices affine in a coordinate vector.
 
-Over Q the determinant uses fraction-free (Bareiss) elimination to contain
-coefficient growth; rank and nullspace use rational Gauss-Jordan. Over F_p
-everything runs on int64 numpy arrays (products stay below 2^62 for any
-modulus < 2^31, so the arithmetic is exact).
+A matrix is one numpy array: int64 entries in [0, p) over F_p, Fraction
+objects over Q. Every product of two residues stays below 2^62 for any
+modulus < 2^31, so the F_p kernels are exact in int64. Rank and nullspace
+come from one Gauss-Jordan elimination for both fields; the determinant is
+fraction-free (Bareiss) over Q and Gaussian elimination mod p over F_p.
 """
 
 from __future__ import annotations
@@ -16,147 +17,134 @@ import numpy as np
 
 from .fields import PrimeField
 
+_to_int = np.frompyfunc(int, 1, 1)
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
+
+
+def _modulus(field):
+    return field.p if isinstance(field, PrimeField) else None
+
+
+def _entries(field, values, shape=None) -> np.ndarray:
+    """values (an array or nested lists) as a canonical array of the field.
+
+    Exact for integers outside int64 and for strings such as "1/2", as the
+    scalar conversions int(x) % p and Fraction(x) are.
+    """
+    a = np.asarray(values)  # ValueError on ragged rows
+    if a.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        a = np.array(values, dtype=object)  # mixed ints beyond int64, or floats
+    if shape is not None:
+        a = a.reshape(shape)
+    p = _modulus(field)
+    if p is None:
+        return _to_fraction(a)
+    if a.dtype.kind not in "biu":
+        a = _to_int(a)
+    return (a % p).astype(np.int64, copy=False)
+
 
 class ExactMatrix:
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    """A matrix over Q or F_p held as one read-only array `a`."""
+
+    __slots__ = ("field", "a")
 
     def __init__(self, field, rows, shape=None):
+        a = _entries(field, rows, shape)
+        if a.ndim == 1 and a.size == 0:
+            a = a.reshape(0, 0)
+        if a.ndim != 2:
+            raise ValueError(f"expected a matrix, got an array of shape {a.shape}")
+        a.flags.writeable = False
         self.field = field
-        rows = [[field.element(x) for x in row] for row in rows]
-        if shape is not None:
-            nr, nc = shape
-        else:
-            nr = len(rows)
-            nc = len(rows[0]) if rows else 0
-        if any(len(r) != nc for r in rows):
-            raise ValueError("ragged rows")
-        self.nrows = nr
-        self.ncols = nc
-        self.rows = rows
-
-    # -- construction -------------------------------------------------------
+        self.a = a
 
     @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], shape=(nrows, ncols))
-
-    @classmethod
-    def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
+    def _of(cls, field, a):
+        """Wrap an array that already holds canonical entries, without a copy."""
+        a.flags.writeable = False
+        m = cls.__new__(cls)
+        m.field = field
+        m.a = a
         return m
 
     @classmethod
-    def from_numpy(cls, field, arr):
-        return cls(field, arr.tolist(), shape=arr.shape)
+    def identity(cls, field, n):
+        return cls(field, np.eye(n, dtype=np.int64))
 
-    def copy(self):
-        return ExactMatrix(self.field, [list(r) for r in self.rows],
-                           shape=(self.nrows, self.ncols))
+    @property
+    def nrows(self):
+        return self.a.shape[0]
+
+    @property
+    def ncols(self):
+        return self.a.shape[1]
 
     @property
     def shape(self):
-        return (self.nrows, self.ncols)
+        return self.a.shape
+
+    @property
+    def rows(self):
+        """The entries as a fresh list of lists; writes to it are lost."""
+        return self.a.tolist()
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and other.field == self.field
-                and other.rows == self.rows and other.shape == self.shape)
+                and np.array_equal(other.a, self.a))
 
     def __repr__(self):
         return f"ExactMatrix({self.field}, {self.nrows}x{self.ncols})"
 
-    def to_numpy(self) -> np.ndarray:
-        """Entries as an int64 array over F_p, an object array over Q."""
-        dtype = np.int64 if isinstance(self.field, PrimeField) else object
-        return np.array(self.rows, dtype=dtype).reshape(self.nrows, self.ncols)
-
     # -- arithmetic ----------------------------------------------------------
 
     def transpose(self):
-        t = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return ExactMatrix(self.field, t, shape=(self.ncols, self.nrows))
+        return ExactMatrix._of(self.field, self.a.T)
 
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Exact product: Python-int (or Fraction) sums, reduced once mod p."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        f = self.field
-        if isinstance(f, PrimeField):
-            prod = (self.to_numpy() @ other.to_numpy()) % f.p
-            return ExactMatrix.from_numpy(f, prod)
-        out = ExactMatrix.zeros(f, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            for k in range(self.ncols):
-                a = self.rows[i][k]
-                if a == 0:
-                    continue
-                row = out.rows[i]
-                orow = other.rows[k]
-                for j in range(other.ncols):
-                    row[j] += a * orow[j]
-        return out
+        p = _modulus(self.field)
+        prod = self.a.astype(object) @ other.a.astype(object)
+        return ExactMatrix(self.field, prod if p is None else prod % p)
 
     def matvec(self, vec):
-        f = self.field
-        vec = [f.element(x) for x in vec]
-        return [sum((self.rows[i][j] * vec[j] for j in range(self.ncols)), f.zero)
-                for i in range(self.nrows)]
+        col = ExactMatrix(self.field, [[x] for x in vec], shape=(len(vec), 1))
+        return self.mul(col).a[:, 0].tolist()
 
     # -- elimination ---------------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form. Returns (matrix, pivot column list)."""
-        f = self.field
-        if isinstance(f, PrimeField):
-            r, piv = _gf_rref(self.to_numpy(), f.p)
-            return ExactMatrix.from_numpy(f, r), piv
-        m = [list(r) for r in self.rows]
-        piv = []
-        r = 0
-        for c in range(self.ncols):
-            pr = next((i for i in range(r, self.nrows) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and m[i][c] != 0:
-                    a = m[i][c]
-                    m[i] = [x - a * y for x, y in zip(m[i], m[r])]
-            piv.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return ExactMatrix(f, m, shape=self.shape), piv
+        r, piv = _rref(self.a.copy(), _modulus(self.field))
+        return ExactMatrix._of(self.field, r), piv
 
     def rank(self) -> int:
+        p = _modulus(self.field)
+        if p is not None:
+            return gf_rank(self.a, p)
         return len(self.rref()[1])
 
     def nullspace(self) -> "ExactMatrix":
         """Kernel basis as matrix columns, pivot-ordered (deterministic)."""
-        f = self.field
         r, piv = self.rref()
         pivset = set(piv)
         free = [c for c in range(self.ncols) if c not in pivset]
-        basis = ExactMatrix.zeros(f, self.ncols, len(free))
-        for k, fc in enumerate(free):
-            basis.rows[fc][k] = f.one
-            for i, pc in enumerate(piv):
-                basis.rows[pc][k] = f.neg(r.rows[i][fc])
-        return basis
+        basis = np.zeros((self.ncols, len(free)), dtype=self.a.dtype)
+        basis[free, range(len(free))] = 1
+        basis[piv] = -r.a[:len(piv)][:, free]
+        return ExactMatrix(self.field, basis)
 
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
+        if self.nrows == 0:
             return self.field.one
-        f = self.field
-        if isinstance(f, PrimeField):
-            return int(_gf_det(self.to_numpy(), f.p))
-        return _bareiss_det_q(self.rows)
+        p = _modulus(self.field)
+        if p is not None:
+            return int(_gf_det(self.a, p))
+        return _bareiss_det_q(self.a.tolist())
 
 
 class AffinePencil:
@@ -181,22 +169,18 @@ class AffinePencil:
     def at(self, xvec, field) -> np.ndarray:
         """M(x): a reduced int64 array over F_p, an object array over Q."""
         rows, cols, coords, coeffs = self.terms.T
-        if isinstance(field, PrimeField):
-            p = field.p
-            x = np.array([int(v) % p for v in xvec], dtype=np.int64)
-            m = self.const % p
-            np.add.at(m, (rows, cols), coeffs * x[coords])
-            return m % p
-        x = np.array([field.element(v) for v in xvec], dtype=object)
-        m = self.const.astype(object)
-        np.add.at(m, (rows, cols), coeffs.astype(object) * x[coords])
-        return m
+        x = _entries(field, xvec)
+        m = self.const.astype(x.dtype)
+        np.add.at(m, (rows, cols), coeffs.astype(x.dtype) * x[coords])
+        p = _modulus(field)
+        return m if p is None else m % p
 
     def det(self, xvec, field):
         m = self.at(xvec, field)
-        if isinstance(field, PrimeField):
-            return _gf_det(m, field.p)
-        return ExactMatrix.from_numpy(field, m).det()
+        p = _modulus(field)
+        if p is not None:
+            return _gf_det(m, p)
+        return ExactMatrix(field, m).det()
 
 
 def _bareiss_det_q(rows) -> Fraction:
@@ -249,29 +233,32 @@ def _gf_det(a: np.ndarray, p: int) -> int:
     return det
 
 
-def _gf_rref(a: np.ndarray, p: int):
-    a = np.array(a, dtype=np.int64) % p
+def _rref(a: np.ndarray, p=None):
+    """Gauss-Jordan elimination in place on canonical entries: mod p, or
+    over Q (an array of Fractions) when p is None."""
     nr, nc = a.shape
     piv = []
-    r = 0
     for c in range(nc):
-        if r >= nr:
+        r = len(piv)
+        if r == nr:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
+        if p is None:
+            a[r] = a[r] / a[r, c]
+        else:
+            a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
         col = a[:, c].copy()
         col[r] = 0
-        mask = np.nonzero(col)[0]
+        mask = np.flatnonzero(col)
         if mask.size:
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+            upd = a[mask] - np.outer(col[mask], a[r])
+            a[mask] = upd if p is None else upd % p
         piv.append(c)
-        r += 1
     return a, piv
 
 
@@ -279,4 +266,4 @@ def gf_rank(a: np.ndarray, p: int) -> int:
     """Rank of an int64 matrix mod p, without the ExactMatrix wrapper."""
     if a.size == 0:
         return 0
-    return len(_gf_rref(a, p)[1])
+    return len(_rref(np.asarray(a, dtype=np.int64) % p, p)[1])

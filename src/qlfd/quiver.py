@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .errors import CyclicQuiver, DisconnectedQuiver, QuiverInputError
 from .fields import QQ
 from .matrix import ExactMatrix
@@ -206,11 +208,9 @@ class GraphClass:
 def _char_poly_coeff_signs(c_rows):
     """Coefficients e_k (sums of k x k principal minors) of det(tI - C)."""
     n = len(c_rows)
-    pts = []
-    for t in range(n + 1):
-        m = ExactMatrix(QQ, [[Fraction(t * (i == j) - c_rows[i][j])
-                              for j in range(n)] for i in range(n)])
-        pts.append((t, m.det()))
+    c = np.array(c_rows, dtype=object).reshape(n, n)
+    pts = [(t, ExactMatrix(QQ, t * np.eye(n, dtype=np.int64) - c).det())
+           for t in range(n + 1)]
     p = interpolate(QQ, pts)
     coeffs = p.coeffs + [Fraction(0)] * (n + 1 - len(p.coeffs))
     # det(tI - C) = sum_k (-1)^k e_k t^(n-k)
@@ -219,21 +219,15 @@ def _char_poly_coeff_signs(c_rows):
 
 def _leading_minors_positive(c_rows) -> bool:
     n = len(c_rows)
-    for k in range(1, n + 1):
-        m = ExactMatrix(QQ, [[Fraction(c_rows[i][j]) for j in range(k)]
-                             for i in range(k)])
-        if m.det() <= 0:
-            return False
-    return True
+    c = np.array(c_rows, dtype=object).reshape(n, n)
+    return all(ExactMatrix(QQ, c[:k, :k]).det() > 0 for k in range(1, n + 1))
 
 
 def _radical_generator(q: Quiver):
-    c = cartan_matrix(q)
-    m = ExactMatrix(QQ, [[Fraction(x) for x in row] for row in c])
-    ker = m.nullspace()
+    ker = ExactMatrix(QQ, cartan_matrix(q)).nullspace()
     if ker.ncols != 1:
         return None
-    col = [ker.rows[i][0] for i in range(ker.nrows)]
+    col = ker.a[:, 0].tolist()
     den = 1
     for x in col:
         den = den * x.denominator // gcd(den, x.denominator)

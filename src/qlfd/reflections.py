@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotInRepPrime, NotLfdShape, QuiverInputError, StepLimit
 from .matrix import ExactMatrix
 from .quiver import Quiver, check_dim, is_tree, is_sincere, quiver_to_json, stages
@@ -78,13 +80,7 @@ def reflect_representation(m: Representation, k) -> Representation:
     if out_arrows:
         # Source: stack the maps f_{k -> i} into one column-block matrix.
         blocks = [(ai, m.mats[ai]) for ai in out_arrows]
-        big_rows = sum(b.nrows for _, b in blocks)
-        stacked = ExactMatrix.zeros(field, big_rows, d[ki])
-        r0 = 0
-        for _, b in blocks:
-            for r in range(b.nrows):
-                stacked.rows[r0 + r] = list(b.rows[r])
-            r0 += b.nrows
+        stacked = ExactMatrix(field, np.vstack([b.a for _, b in blocks]))
         if stacked.rank() != d[ki]:
             raise NotInRepPrime("combined outgoing map is not injective")
         # Cokernel model: rows spanning the left kernel of the stacked map.
@@ -92,36 +88,19 @@ def reflect_representation(m: Representation, k) -> Representation:
         new_mats = list(m.mats)
         r0 = 0
         for ai, b in blocks:
-            cols = list(range(r0, r0 + b.nrows))
-            block = ExactMatrix(field,
-                                [[proj.rows[i][c] for c in cols]
-                                 for i in range(proj.nrows)],
-                                shape=(proj.nrows, b.nrows))
-            new_mats[ai] = block
+            new_mats[ai] = ExactMatrix(field, proj.a[:, r0:r0 + b.nrows])
             r0 += b.nrows
     else:
         # Sink: concatenate the maps f_{i -> k} into one row-block matrix.
         blocks = [(ai, m.mats[ai]) for ai in in_arrows]
-        big_cols = sum(b.ncols for _, b in blocks)
-        joined = ExactMatrix.zeros(field, d[ki], big_cols)
-        c0 = 0
-        for _, b in blocks:
-            for r in range(d[ki]):
-                for c in range(b.ncols):
-                    joined.rows[r][c0 + c] = b.rows[r][c]
-            c0 += b.ncols
+        joined = ExactMatrix(field, np.hstack([b.a for _, b in blocks]))
         if joined.rank() != d[ki]:
             raise NotInRepPrime("combined incoming map is not surjective")
         kernel = joined.nullspace()  # big_cols x (big_cols - d_k)
         new_mats = list(m.mats)
         c0 = 0
         for ai, b in blocks:
-            rows = list(range(c0, c0 + b.ncols))
-            block = ExactMatrix(field,
-                                [[kernel.rows[r][j] for j in range(kernel.ncols)]
-                                 for r in rows],
-                                shape=(b.ncols, kernel.ncols))
-            new_mats[ai] = block
+            new_mats[ai] = ExactMatrix(field, kernel.a[c0:c0 + b.ncols])
             c0 += b.ncols
     return Representation(q_new, d_new, tuple(new_mats), field)
 

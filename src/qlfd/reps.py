@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import QuiverInputError
 from .fields import PrimeField
-from .matrix import AffinePencil, ExactMatrix, gf_rank
+from .matrix import AffinePencil, ExactMatrix
 from .quiver import Quiver, check_dim, euler_form, is_positive
 
 
@@ -78,24 +78,14 @@ def rep_from_coords(q: Quiver, d, coords, field) -> Representation:
     offs, total = coord_offsets(q, d)
     if len(coords) != total:
         raise QuiverInputError(f"expected {total} coordinates, got {len(coords)}")
-    mats = []
-    for (s, t), off in zip(q.arrow_indices(), offs):
-        rows, cols = d[t], d[s]
-        m = ExactMatrix.zeros(field, rows, cols)
-        for c in range(cols):
-            for r in range(rows):
-                m.rows[r][c] = field.element(coords[off + c * rows + r])
-        mats.append(m)
-    return Representation(q, d, tuple(mats), field)
+    x = ExactMatrix(field, [coords], shape=(1, total)).a[0]
+    mats = tuple(ExactMatrix._of(field, x[off:off + d[s] * d[t]].reshape(d[s], d[t]).T)
+                 for (s, t), off in zip(q.arrow_indices(), offs))
+    return Representation(q, d, mats, field)
 
 
 def coords_from_rep(m: Representation):
-    out = []
-    for mat in m.mats:
-        for c in range(mat.ncols):
-            for r in range(mat.nrows):
-                out.append(mat.rows[r][c])
-    return out
+    return [x for mat in m.mats for x in mat.a.T.ravel().tolist()]
 
 
 def sample_representation(q: Quiver, d, field, rng) -> Representation:
@@ -140,12 +130,12 @@ def c_pencil(q: Quiver, m, n, field) -> AffinePencil:
     col_off = list(accumulate((md[i] * nd[i] for i in range(q.n_vertices)), initial=0))
     row_off = list(accumulate((md[s] * nd[t] for s, t in arrows), initial=0))
     dtype = np.int64 if isinstance(field, PrimeField) else object
-    const = np.zeros((row_off[-1], col_off[-1]), dtype=dtype)
+    const = np.full((row_off[-1], col_off[-1]), field.zero, dtype=dtype)
     terms = [np.zeros((0, 4), dtype=np.int64)]
 
     def arrow_matrices(slot):
         if isinstance(slot, Representation):
-            return [mat.to_numpy() for mat in slot.mats]
+            return [mat.a for mat in slot.mats]
         # the point: coordinate index + 1 of each entry, so 0 marks no cell
         offs, _ = coord_offsets(q, slot)
         return [off + 1 + np.arange(slot[s] * slot[t]).reshape(slot[s], slot[t]).T
@@ -173,7 +163,7 @@ def build_c_matrix(m: Representation, n: Representation) -> ExactMatrix:
     Kernel dimension is Hom, cokernel dimension is Ext.
     """
     c = c_pencil(m.quiver, m, n, m.field)
-    return ExactMatrix.from_numpy(m.field, c.at((), m.field))
+    return ExactMatrix._of(m.field, c.at((), m.field))
 
 
 @dataclass(frozen=True)
@@ -189,10 +179,7 @@ class HomExtReport:
 
 def hom_ext(m: Representation, n: Representation) -> HomExtReport:
     c = build_c_matrix(m, n)
-    if isinstance(m.field, PrimeField):
-        rk = gf_rank(c.to_numpy(), m.field.p)
-    else:
-        rk = c.rank()
+    rk = c.rank()
     hom = c.ncols - rk
     ext = c.nrows - rk
     end = hom if (m is n or (m.dim == n.dim and m.mats == n.mats)) else None

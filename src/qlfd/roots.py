@@ -11,7 +11,6 @@ the validation lives in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -123,16 +122,13 @@ class CoxeterMatrix:
 
 def _int_inverse(rows):
     n = len(rows)
-    m = ExactMatrix(QQ, [[Fraction(x) for x in row] for row in rows])
-    aug = ExactMatrix(QQ, [m.rows[i] + ExactMatrix.identity(QQ, n).rows[i]
-                           for i in range(n)])
+    aug = ExactMatrix(QQ, np.hstack([np.array(rows, dtype=object).reshape(n, n),
+                                     np.eye(n, dtype=np.int64)]))
     red, piv = aug.rref()
-    if piv != list(range(n)):
+    inv = red.a[:, n:]
+    if piv != list(range(n)) or any(x.denominator != 1 for x in inv.flat):
         raise CyclicQuiver("Euler matrix is not invertible over the integers")
-    inv = [[red.rows[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise CyclicQuiver("Euler matrix is not invertible over the integers")
-    return [[int(x) for x in row] for row in inv]
+    return [[int(x) for x in row] for row in inv.tolist()]
 
 
 def _mat_mul(a, b):

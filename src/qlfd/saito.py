@@ -26,7 +26,6 @@ from .errors import (DisconnectedQuiver, NonSquare, NotSincere,
                      PrimeTooSmall, QuiverInputError)
 from .fields import GF
 from .matrix import AffinePencil
-from .multipoly import MultiPoly, sym_det
 from .poly import interpolate
 from .quiver import (Quiver, check_dim, classify_graph, euler_form,
                      euler_matrix, is_positive, is_sincere, is_tree,
@@ -118,18 +117,6 @@ def single_coordinate_basis_check(s: SaitoMatrix) -> bool:
     return (not s.pencil.const.any()
             and len(set(zip(rows, cols))) == len(rows)
             and len(set(zip(rows, coords))) == len(rows))
-
-
-def expand_f_symbolic(s: SaitoMatrix, expand_limit: int = 8) -> MultiPoly:
-    """Full symbolic expansion of det; gated to small sizes."""
-    if s.n > expand_limit:
-        raise ValueError(f"symbolic expansion gated to n <= {expand_limit}")
-    nvars = s.n
-    grid = [[MultiPoly.const(nvars, c) for c in row]
-            for row in s.pencil.const.tolist()]
-    for i, j, k, c in s.pencil.terms.tolist():
-        grid[i][j] = grid[i][j].add(MultiPoly.coordinate(k, nvars, c))
-    return sym_det(grid)
 
 
 # -- reducedness ---------------------------------------------------------------------
@@ -270,8 +257,11 @@ def relative_invariant_det(q: Quiver, d, m_rep: Representation, side: str):
 def _degree_matches(pencil, n, expected, field, rng) -> bool:
     """Line-restriction degree probe in the n coordinates of the point:
     interpolate on expected+1 nodes and cross-check two extra nodes; also
-    requires a nonzero leading term."""
+    requires a nonzero leading term. Fails when the expected+3 nodes are
+    not distinct mod p."""
     p = field.p
+    if expected + 3 > p:
+        return False
     a = [rng.randrange(p) for _ in range(n)]
     b = [rng.randrange(p) for _ in range(n)]
     pts = []

@@ -1,17 +1,18 @@
-"""Sparse multivariate polynomials with integer coefficients.
-
-Only used by the small-case symbolic oracle (full expansion of Saito
-determinants gated to low dimension), so the operation set is minimal:
-ring arithmetic, memoized determinant expansion, and an exact Gram-rank
-irreducibility certificate for quadratics.
+"""The small-case symbolic oracle: sparse multivariate polynomials with
+integer coefficients, the full expansion of a Saito determinant (gated to
+low dimension), and an exact Gram-rank irreducibility certificate for
+quadratics. The operation set is minimal: ring arithmetic and a memoized
+determinant expansion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ
-from .matrix import ExactMatrix
+import numpy as np
+
+from qlfd.fields import QQ
+from qlfd.matrix import ExactMatrix
 
 
 class MultiPoly:
@@ -142,13 +143,20 @@ def quadratic_gram_rank(p: MultiPoly) -> int:
     if p.total_degree() != 2 or not p.is_homogeneous():
         raise ValueError("expected a homogeneous quadratic")
     n = p.nvars
-    g = ExactMatrix.zeros(QQ, n, n)
+    g = np.zeros((n, n), dtype=object)
     for mono, c in p.terms.items():
-        idx = [i for i, e in enumerate(mono) for _ in range(e)]
-        i, j = idx
-        if i == j:
-            g.rows[i][i] = Fraction(c)
-        else:
-            g.rows[i][j] = Fraction(c, 2)
-            g.rows[j][i] = Fraction(c, 2)
-    return g.rank()
+        i, j = (i for i, e in enumerate(mono) for _ in range(e))
+        g[i, j] = g[j, i] = Fraction(c, 1 if i == j else 2)
+    return ExactMatrix(QQ, g).rank()
+
+
+def expand_f_symbolic(s, expand_limit: int = 8) -> MultiPoly:
+    """Full symbolic expansion of det of a Saito matrix; gated to small sizes."""
+    if s.n > expand_limit:
+        raise ValueError(f"symbolic expansion gated to n <= {expand_limit}")
+    nvars = s.n
+    grid = [[MultiPoly.const(nvars, c) for c in row]
+            for row in s.pencil.const.tolist()]
+    for i, j, k, c in s.pencil.terms.tolist():
+        grid[i][j] = grid[i][j].add(MultiPoly.coordinate(k, nvars, c))
+    return sym_det(grid)

@@ -9,19 +9,19 @@ import random
 import time
 
 from qlfd import (GF, Quiver, build_saito_matrix, classify_graph,
-                  component_degrees_report, euler_form, expand_f_symbolic,
+                  component_degrees_report, euler_form,
                   find_tubes, hom_ext, is_schur_root, lfd_verdict,
                   positive_real_roots, quiver_from_json, reducedness_test,
                   rep_dimension, sample_representation,
                   single_coordinate_basis_check, tits_form)
 from qlfd.config import Config
-from qlfd.multipoly import MultiPoly, product, quadratic_gram_rank
 from qlfd.reflections import reflect_pair
 from qlfd.quiver import is_sincere
 
 from conftest import (DYNKIN_SHAPES, E7_JSON, E8_JSON, a2, a3,
                       all_orientations, cycle, d4_in, d4_out, kronecker,
                       random_tree_quiver, small_lfd_corpus)
+from oracle import MultiPoly, expand_f_symbolic, product, quadratic_gram_rank
 
 CFG = Config()
 F = GF(CFG.prime)

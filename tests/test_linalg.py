@@ -1,9 +1,12 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import qlfd
 from qlfd import (ExactMatrix, GF, QQ, UnivariatePoly, build_saito_matrix,
                   interpolate, reducedness_test)
 from qlfd.config import Config
@@ -96,6 +99,104 @@ def test_bareiss_matches_fraction_entries():
     m = ExactMatrix(QQ, [[Fraction(1, 2), Fraction(1, 3)],
                          [Fraction(1, 5), Fraction(1, 7)]])
     assert m.det() == Fraction(1, 2) * Fraction(1, 7) - Fraction(1, 3) * Fraction(1, 5)
+
+
+def test_fp_products_exact_at_large_prime():
+    # int64 sums of 8 products of residues below 2^31 - 1 would overflow
+    rng = random.Random(5)
+    n, p = 8, F.p
+    a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    v = [rng.randrange(p) for _ in range(n)]
+    prod = ExactMatrix(F, a).mul(ExactMatrix(F, b))
+    assert prod.rows == [[sum(a[i][k] * b[k][j] for k in range(n)) % p
+                          for j in range(n)] for i in range(n)]
+    assert ExactMatrix(F, a).matvec(v) == [sum(a[i][k] * v[k] for k in range(n)) % p
+                                           for i in range(n)]
+
+
+def test_entries_exact_beyond_int64():
+    m = ExactMatrix(F, [[-1, 2**63], [-2**70, 5]])
+    assert m.rows == [[F.p - 1, 2**63 % F.p], [-2**70 % F.p, 5]]
+    assert m.a.dtype.name == "int64"
+    q = ExactMatrix(QQ, [["1/2", 2**70], [-2**70, 3]])
+    assert q.rows == [[Fraction(1, 2), Fraction(2**70)], [Fraction(-2**70), Fraction(3)]]
+    assert q.det() == Fraction(3, 2) + 2**140
+    with pytest.raises(ValueError):
+        ExactMatrix(QQ, [[1, 2], [3]])
+
+
+# -- differential tests of the array kernels -----------------------------------------
+
+entries = st.integers(min_value=-9, max_value=9) | st.integers(min_value=-2**70,
+                                                               max_value=2**70)
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    nr = draw(st.integers(min_value=1, max_value=5))
+    nc = nr if square else draw(st.integers(min_value=1, max_value=5))
+    return draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+
+
+@given(rows=int_matrices(square=True), p=st.sampled_from([101, 2**31 - 1]))
+def test_fp_det_matches_bareiss(rows, p):
+    q_det = ExactMatrix(QQ, rows).det()
+    assert q_det.denominator == 1
+    assert ExactMatrix(GF(p), rows).det() == int(q_det) % p
+
+
+@given(rows=int_matrices(), field=st.sampled_from([QQ, GF(101), GF(2**31 - 1)]))
+def test_rank_nullspace_kernel(rows, field):
+    m = ExactMatrix(field, rows)
+    ker = m.nullspace()
+    assert m.rank() + ker.ncols == m.ncols
+    assert ker.nrows == m.ncols
+    assert not m.mul(ker).a.any()
+
+
+@given(rows=int_matrices(), field=st.sampled_from([QQ, GF(101), GF(2**31 - 1)]))
+def test_rref_idempotent(rows, field):
+    r, piv = ExactMatrix(field, rows).rref()
+    again, piv_again = r.rref()
+    assert again == r and piv_again == piv
+
+
+def _writes_rows(target) -> bool:
+    """True if an assignment target stores through an `.rows` attribute."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_writes_rows(e) for e in target.elts)
+    if isinstance(target, ast.Starred):
+        return _writes_rows(target.value)
+    while isinstance(target, ast.Subscript):
+        target = target.value
+        if isinstance(target, ast.Attribute) and target.attr == "rows":
+            return True
+    return False
+
+
+def _rows_writes(source):
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found.extend(node.lineno for t in targets if _writes_rows(t))
+    return found
+
+
+def test_no_writes_through_rows():
+    # ExactMatrix.rows is a fresh list copy, so a store through it is lost
+    assert _rows_writes("m.rows[0][1] = 2\nm.rows[1] += [3]\nx, m.rows[2] = 1, 2") == [1, 2, 3]
+    assert _rows_writes("x[m.rows[0][0]] = 1\nrows[0] = 1") == []
+    package = Path(qlfd.__file__).parent
+    offenders = {path.name: lines for path in sorted(package.glob("*.py"))
+                 if (lines := _rows_writes(path.read_text()))}
+    assert offenders == {}
 
 
 # -- polynomials ---------------------------------------------------------------

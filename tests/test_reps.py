@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -186,6 +187,22 @@ def test_rep_json_roundtrip():
     assert again.dim == m.dim and again.mats == m.mats
 
 
+def test_rep_json_exact_entries():
+    q = a2()
+    big = {"dim": {"1": 2, "2": 2}, "modulus": F.p,
+           "mats": {"0": [[-1, 2**63], [-2**70, 0]]}}
+    m = rep_from_json(q, big, F)
+    assert m.mats[0].rows == [[F.p - 1, 2**63 % F.p], [-2**70 % F.p, 0]]
+    again = rep_from_json(q, m.to_json(), F)
+    assert again.mats == m.mats and again.to_json() == m.to_json()
+    half = {"dim": {"1": 2, "2": 2}, "modulus": None,
+            "mats": {"0": [["1/2", 3], [-2**70, "-7/3"]]}}
+    r = rep_from_json(q, half, QQ)
+    assert r.mats[0].rows == [[Fraction(1, 2), 3], [-2**70, Fraction(-7, 3)]]
+    assert r.to_json()["mats"]["0"] == [["1/2", "3"], [str(-2**70), "-7/3"]]
+    assert rep_from_json(q, r.to_json(), QQ).mats == r.mats
+
+
 def test_sampling_over_rationals():
     rng = random.Random(8)
     q = a3()
@@ -202,3 +219,11 @@ def test_coords_roundtrip():
     coords = coords_from_rep(m)
     again = rep_from_coords(q, m.dim, coords, F)
     assert again.mats == m.mats
+    # entrywise reference: arrow by arrow, column-major within each block
+    off = 0
+    for mat in m.mats:
+        for c in range(mat.ncols):
+            for r in range(mat.nrows):
+                assert coords[off] == mat.rows[r][c]
+                off += 1
+    assert off == len(coords)

@@ -5,7 +5,7 @@ import pytest
 
 from qlfd import (GF, Quiver, build_saito_matrix, component_degree, component_degrees_report, degree_sum_check,
                   euler_form, euler_homogeneity_witness, evaluate_f,
-                  expand_f_symbolic, find_tubes, lfd_verdict,
+                  find_tubes, lfd_verdict,
                   quasihom_certificate, reducedness_test,
                   relative_invariant_det, sample_representation,
                   single_coordinate_basis_check, stages, tits_form)
@@ -13,11 +13,11 @@ from qlfd.config import Config
 from qlfd.errors import NonSquare, NotSincere, QuiverInputError
 from qlfd.fields import QQ
 from qlfd.matrix import AffinePencil
-from qlfd.multipoly import MultiPoly, product, quadratic_gram_rank
 from qlfd.reps import build_c_matrix, rep_from_coords
 from qlfd.saito import SaitoMatrix, invariant_pencil
 
 from conftest import a2, a3, cycle, d4_in, d4_out, kronecker
+from oracle import MultiPoly, expand_f_symbolic, product, quadratic_gram_rank
 
 F = GF(2**31 - 1)
 CFG = Config()
@@ -218,6 +218,17 @@ def test_component_degrees_d4():
     assert report["degrees"] == [2, 2, 2]
     assert sum(report["degrees"]) == report["dim_rep"] == 6
     assert report["unique_multiset"]
+
+
+def test_degree_probe_needs_distinct_nodes():
+    # A4, d = (1, 1, 1, 1): at p = 3 the nodes 0..deg+2 of every probe
+    # collide mod p, so no candidate may pass; at p = 5 the degree-1 ones do
+    q = Quiver(("1", "2", "3", "4"), (("1", "2"), ("2", "3"), ("3", "4")))
+    report = component_degrees_report(q, (1, 1, 1, 1), Config(prime=3))
+    assert not report["certified"]
+    assert report["reason"] == "no subset of candidate degrees certified against f"
+    report = component_degrees_report(q, (1, 1, 1, 1), Config(prime=5))
+    assert report["certified"] and report["degrees"] == [1, 1, 1]
 
 
 def test_relative_invariant_a2():
