@@ -6,6 +6,11 @@ objects over Q. Every product of two residues stays below 2^62 for any
 modulus < 2^31, so the F_p kernels are exact in int64. Rank and nullspace
 come from one Gauss-Jordan elimination for both fields; the determinant is
 fraction-free (Bareiss) over Q and Gaussian elimination mod p over F_p.
+
+AffinePencil.det_line turns the determinant of an n x n pencil along a
+line into its polynomial over F_p in one O(n^3) pass: one elimination of
+[A | B] and a Hessenberg characteristic polynomial. A singular start point
+is moved along the line at most min(n + 1, p) times.
 """
 
 from __future__ import annotations
@@ -117,7 +122,7 @@ class ExactMatrix:
 
     def rref(self):
         """Reduced row echelon form. Returns (matrix, pivot column list)."""
-        r, piv = _rref(self.a.copy(), _modulus(self.field))
+        r, piv, _ = _rref(self.a.copy(), _modulus(self.field))
         return ExactMatrix._of(self.field, r), piv
 
     def rank(self) -> int:
@@ -182,6 +187,31 @@ class AffinePencil:
             return _gf_det(m, p)
         return ExactMatrix(field, m).det()
 
+    def det_line(self, a, b, field):
+        """Coefficients, low to high, of t -> det M(a + t b) over F_p, or None.
+
+        M(a + t b) = A + t B with A = M(a) and B = M(b) - C. When A is
+        invertible, det(A + t B) = det A * det(I + t K) with K = A^-1 B, and
+        det(I + t K) is the characteristic polynomial of -K read backwards.
+        One elimination of [A | B] gives det A and K. When A is singular the
+        line is anchored at a + s b instead, for s = 1, 2, ... below
+        min(n + 1, p), and the result is shifted back by s. None means every
+        anchor was singular; for p > n that holds exactly when the
+        restriction is identically zero.
+        """
+        p = field.p
+        base = self.at(a, field)
+        slope = (self.at(b, field) - self.const) % p
+        n = base.shape[0]
+        for s in range(min(n + 1, p)):
+            red, piv, det = _rref(np.hstack(((base + s * slope) % p, slope)), p)
+            if piv[:n] != list(range(n)):
+                continue
+            chi = _gf_charpoly(-red[:, n:] % p, p)
+            coeffs = [det * c % p for c in reversed(chi)]
+            return _taylor_shift(coeffs, -s, p) if s else coeffs
+        return None
+
 
 def _bareiss_det_q(rows) -> Fraction:
     """Fraction-free determinant: scale rows to integers, run Bareiss."""
@@ -235,9 +265,15 @@ def _gf_det(a: np.ndarray, p: int) -> int:
 
 def _rref(a: np.ndarray, p=None):
     """Gauss-Jordan elimination in place on canonical entries: mod p, or
-    over Q (an array of Fractions) when p is None."""
+    over Q (an array of Fractions) when p is None.
+
+    Returns (a, pivot columns, scale), where scale is the product of the
+    pivots with the sign of the row swaps: the determinant of the square
+    left block when the pivots are its columns.
+    """
     nr, nc = a.shape
     piv = []
+    scale = 1
     for c in range(nc):
         r = len(piv)
         if r == nr:
@@ -248,18 +284,71 @@ def _rref(a: np.ndarray, p=None):
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
+            scale = -scale
         if p is None:
+            scale *= a[r, c]
             a[r] = a[r] / a[r, c]
         else:
-            a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+            pivot = int(a[r, c])
+            scale = scale * pivot % p
+            a[r] = a[r] * pow(pivot, -1, p) % p
         col = a[:, c].copy()
         col[r] = 0
         mask = np.flatnonzero(col)
         if mask.size:
-            upd = a[mask] - np.outer(col[mask], a[r])
-            a[mask] = upd if p is None else upd % p
+            # row r is zero left of column c, so those columns stay as they are
+            upd = a[mask, c:] - np.outer(col[mask], a[r, c:])
+            a[mask, c:] = upd if p is None else upd % p
         piv.append(c)
-    return a, piv
+    return a, piv, scale
+
+
+def _gf_charpoly(h: np.ndarray, p: int) -> list:
+    """Coefficients, low to high, of det(x I - h) mod p.
+
+    Reduces a copy of h to upper Hessenberg form by similarity, then runs
+    the charpoly recurrence on its leading blocks (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9). Each product of two
+    residues is reduced before it enters a sum, so int64 never overflows.
+    """
+    h = np.array(h, dtype=np.int64)
+    n = h.shape[0]
+    for j in range(n - 2):
+        nz = np.flatnonzero(h[j + 1:, j])
+        if nz.size == 0:
+            continue
+        r = j + 1 + int(nz[0])
+        if r != j + 1:
+            h[[j + 1, r]] = h[[r, j + 1]]
+            h[:, [j + 1, r]] = h[:, [r, j + 1]]
+        c = h[j + 2:, j] * pow(int(h[j + 1, j]), -1, p) % p
+        # rows k > j + 1 lose c_k times row j + 1; column j + 1 gains the
+        # same multiples of columns k, which keeps h similar to the input
+        h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(c, h[j + 1, j:])) % p
+        h[:, j + 1] = (h[:, j + 1] + (h[:, j + 2:] * c % p).sum(axis=1)) % p
+    # polys[m] = det(x I - h[:m, :m]); at step k, sub[r] = h[r+1, r] ... h[k, k-1]
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    sub = np.zeros(0, dtype=np.int64)
+    for k in range(n):
+        prev = polys[k]
+        polys[k + 1, 1:] = prev[:-1]
+        polys[k + 1] = (polys[k + 1] - h[k, k] * prev) % p
+        if k:
+            sub = np.append(sub * h[k, k - 1] % p, h[k, k - 1])
+            w = h[:k, k] * sub % p
+            tail = (w[:, None] * polys[:k, :k] % p).sum(axis=0) % p
+            polys[k + 1, :k] = (polys[k + 1, :k] - tail) % p
+    return polys[n].tolist()
+
+
+def _taylor_shift(coeffs: list, c: int, p: int) -> list:
+    """Coefficients of g(t + c) mod p from those of g, low to high."""
+    g = list(coeffs)
+    for i in range(len(g) - 1):
+        for j in range(len(g) - 2, i - 1, -1):
+            g[j] = (g[j] + c * g[j + 1]) % p
+    return g
 
 
 def gf_rank(a: np.ndarray, p: int) -> int:

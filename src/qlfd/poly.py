@@ -1,6 +1,10 @@
 """Dense univariate polynomials over an exact field: gcd, squarefreeness,
 interpolation.
 
+Restrictions of determinants to lines over F_p come from
+AffinePencil.det_line; interpolation serves only the characteristic
+polynomial of the Cartan matrix over Q, in graph classification.
+
 Squarefreeness is tested via gcd(a, a'); in characteristic p this is only
 valid when p exceeds the degree, which callers must guarantee (PrimeTooSmall
 otherwise).

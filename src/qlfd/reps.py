@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import QuiverInputError
 from .fields import PrimeField
-from .matrix import AffinePencil, ExactMatrix
+from .matrix import AffinePencil, ExactMatrix, _entries
 from .quiver import Quiver, check_dim, euler_form, is_positive
 
 
@@ -89,15 +89,18 @@ def coords_from_rep(m: Representation):
 
 
 def sample_representation(q: Quiver, d, field, rng) -> Representation:
-    """Uniform random point of the representation space over the field."""
+    """Uniform random point of the representation space over the field.
+
+    Entries are drawn arrow by arrow, row by row within an arrow.
+    """
     d = check_dim(q, d)
-    mats = []
-    for s, t in q.arrow_indices():
-        mats.append(ExactMatrix(field,
-                                [[field.random(rng) for _ in range(d[s])]
-                                 for _ in range(d[t])],
-                                shape=(d[t], d[s])))
-    return Representation(q, d, tuple(mats), field)
+    arrows = q.arrow_indices()
+    sizes = [d[s] * d[t] for s, t in arrows]
+    x = _entries(field, [field.random(rng) for _ in range(sum(sizes))])
+    offs = accumulate(sizes, initial=0)
+    mats = tuple(ExactMatrix._of(field, x[off:off + size].reshape(d[t], d[s]))
+                 for (s, t), off, size in zip(arrows, offs, sizes))
+    return Representation(q, d, mats, field)
 
 
 # -- the Hom/Ext linear map ---------------------------------------------------------
@@ -238,9 +241,9 @@ def perp_candidates(q: Quiver, d, entry_bound: int, trials: int, field, rng,
     A candidate e must be a positive real root (q_Q(e) = 1), Euler-orthogonal
     to d on the matching side, and a sampled generic representation of
     dimension e must have Hom = Ext = 0 against a sampled generic brick of
-    dimension d (the c-matrix between them is square by orthogonality and
-    must be invertible). Candidates are not certified simple; downstream
-    degree-sum checks act as the filter.
+    dimension d: the c-matrix between them is square by orthogonality, so
+    this is a nonzero determinant. Candidates are not certified simple;
+    downstream degree-sum checks act as the filter.
     """
     from .roots import positive_real_roots
 
@@ -263,8 +266,7 @@ def perp_candidates(q: Quiver, d, entry_bound: int, trials: int, field, rng,
             for _ in range(trials):
                 probe = sample_representation(q, e, field, rng)
                 rep_pair = (probe, brick) if side == "left" else (brick, probe)
-                he = hom_ext(*rep_pair)
-                if he.hom == 0 and he.ext == 0:
+                if build_c_matrix(*rep_pair).det() != 0:
                     out.append(PerpCandidate(e, side))
                     break
     return out

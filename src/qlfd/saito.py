@@ -26,7 +26,7 @@ from .errors import (DisconnectedQuiver, NonSquare, NotSincere,
                      PrimeTooSmall, QuiverInputError)
 from .fields import GF
 from .matrix import AffinePencil
-from .poly import interpolate
+from .poly import UnivariatePoly
 from .quiver import (Quiver, check_dim, classify_graph, euler_form,
                      euler_matrix, is_positive, is_sincere, is_tree,
                      rep_dimension, stages, support_pair, tits_form)
@@ -145,12 +145,14 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
                      seed: int = 12345) -> ReducednessVerdict:
     """Probabilistic reducedness of f via random affine lines over F_p.
 
-    Restrict f to x(t) = a + t b, recover the univariate by interpolation
-    at n+1 nodes, and test degree-n squarefreeness. The determinant has
-    integer coefficients, so a single squarefree degree-n restriction is a
-    sound certificate of reducedness; the negative verdict is the majority
-    outcome of all trials. Returns identically_zero when every evaluation
-    in every trial vanished.
+    Each trial restricts f to x(t) = a + t b and reads off the univariate
+    polynomial in one pass (AffinePencil.det_line: a Hessenberg
+    characteristic polynomial of the pencil mod p), then tests degree-n
+    squarefreeness. The determinant has integer coefficients, so a single
+    squarefree degree-n restriction is a sound certificate of reducedness.
+    The verdict is not_reduced when no trial certifies, and
+    identically_zero when the restriction vanished identically in every
+    trial.
     """
     if primes is None:
         primes = (2**31 - 1,)
@@ -171,14 +173,11 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
         b = [rng.randrange(p) for _ in range(n)]
         if all(x == 0 for x in b):
             b[0] = 1
-        vals = []
-        for t in range(n + 1):
-            xvec = [(ai + t * bi) % p for ai, bi in zip(a, b)]
-            vals.append(s.det_at(xvec, fld))
-        if all(v == 0 for v in vals):
+        coeffs = s.pencil.det_line(a, b, fld)
+        if coeffs is None:
             continue
         saw_nonzero = True
-        poly = interpolate(fld, list(enumerate(vals)))
+        poly = UnivariatePoly(fld, coeffs)
         if poly.degree == n and poly.is_squarefree():
             return ReducednessVerdict("reduced", trial + 1, primes, seed,
                                       witness_prime=p, degree=n)
@@ -255,23 +254,21 @@ def relative_invariant_det(q: Quiver, d, m_rep: Representation, side: str):
 
 
 def _degree_matches(pencil, n, expected, field, rng) -> bool:
-    """Line-restriction degree probe in the n coordinates of the point:
-    interpolate on expected+1 nodes and cross-check two extra nodes; also
-    requires a nonzero leading term. Fails when the expected+3 nodes are
-    not distinct mod p."""
+    """Line-restriction degree probe in the n coordinates of the point: the
+    determinant restricted to a random line, read off exactly by
+    AffinePencil.det_line, must have degree exactly `expected`. Fails when
+    the restriction vanishes at every anchor det_line tries."""
     p = field.p
-    if expected + 3 > p:
-        return False
     a = [rng.randrange(p) for _ in range(n)]
     b = [rng.randrange(p) for _ in range(n)]
-    pts = []
-    for t in range(expected + 3):
-        xvec = [(ai + t * bi) % p for ai, bi in zip(a, b)]
-        pts.append((t, pencil.det(xvec, field)))
-    poly = interpolate(field, pts[:expected + 1])
-    if poly.degree != expected:
-        return False
-    return all(poly.evaluate(t) == v for t, v in pts[expected + 1:])
+    coeffs = pencil.det_line(a, b, field)
+    return coeffs is not None and UnivariatePoly(field, coeffs).degree == expected
+
+
+# Subsets are certified at this many shared points where f is nonzero, drawn
+# from at most _SHARED_POINT_DRAWS uniform points.
+_SHARED_POINTS = 4
+_SHARED_POINT_DRAWS = 100
 
 
 def degree_sum_check(degrees, subset_size: int, target: int, limit: int = 100000):
@@ -351,12 +348,19 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
                             roots=roots, brick=brick)
 
     # Shared evaluation points with f nonzero.
-    pts = []
-    while len(pts) < 4:
+    pts, fvals = [], []
+    for _ in range(_SHARED_POINT_DRAWS):
         xvec = [rng.randrange(field.p) for _ in range(n)]
-        if saito.det_at(xvec, field) != 0:
+        value = saito.det_at(xvec, field)
+        if value != 0:
             pts.append(xvec)
-    fvals = [saito.det_at(x, field) for x in pts]
+            fvals.append(value)
+            if len(pts) == _SHARED_POINTS:
+                break
+    else:
+        report["reason"] = (f"Saito determinant nonzero at only {len(pts)} "
+                            f"of {_SHARED_POINT_DRAWS} sampled points")
+        return report
 
     for side in ("left", "right"):
         scored = []

@@ -3,16 +3,18 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import qlfd
 from qlfd import (ExactMatrix, GF, QQ, UnivariatePoly, build_saito_matrix,
                   interpolate, reducedness_test)
 from qlfd.config import Config
 from qlfd.errors import PrimeTooSmall
+from qlfd.matrix import AffinePencil
 
-from conftest import a2
+from conftest import a2, d4_in
 
 F = GF(2**31 - 1)
 
@@ -161,6 +163,80 @@ def test_rref_idempotent(rows, field):
     r, piv = ExactMatrix(field, rows).rref()
     again, piv_again = r.rref()
     assert again == r and piv_again == piv
+
+
+# -- det along a line --------------------------------------------------------------
+
+
+@st.composite
+def pencils(draw):
+    """A random AffinePencil of size n in k coordinates, with a point a and a
+    direction b; the constant part, a and b may each be zero."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=3))
+    small = st.integers(min_value=-3, max_value=3)
+    const = np.array(draw(st.lists(small, min_size=n * n, max_size=n * n)),
+                     dtype=np.int64).reshape(n, n)
+    if draw(st.booleans()):
+        const[:] = 0
+    coeffs = np.array(draw(st.lists(small, min_size=n * n * k, max_size=n * n * k)),
+                      dtype=np.int64).reshape(n, n, k)
+    terms = [(*cell, c) for cell, c in np.ndenumerate(coeffs) if c]
+    point = st.lists(st.integers(min_value=0, max_value=2**31), min_size=k, max_size=k)
+    zero = [0] * k
+    a = draw(st.sampled_from([zero]) | point)
+    b = draw(st.sampled_from([zero]) | point)
+    return AffinePencil(const, terms), a, b
+
+
+def _line_values(pencil, a, b, field, nodes):
+    p = field.p
+    return [int(pencil.det([(x + t * y) % p for x, y in zip(a, b)], field))
+            for t in nodes]
+
+
+def _check_det_line(pencil, a, b, field):
+    """det_line against interpolation on n + 1 nodes (p > n) or against the
+    determinant at every t in F_p (p <= n)."""
+    coeffs = pencil.det_line(a, b, field)
+    n, p = pencil.shape[0], field.p
+    if p > n:
+        vals = _line_values(pencil, a, b, field, range(n + 1))
+        assert (coeffs is None) == (not any(vals))
+        if coeffs is not None:
+            assert UnivariatePoly(field, coeffs) == interpolate(field, enumerate(vals))
+    else:
+        vals = _line_values(pencil, a, b, field, range(p))
+        if coeffs is None:
+            assert not any(vals)
+        else:
+            poly = UnivariatePoly(field, coeffs)
+            assert [poly.evaluate(t) for t in range(p)] == vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pencils(), p=st.sampled_from([7, 101, 2**31 - 1]))
+def test_det_line_matches_interpolation(case, p):
+    _check_det_line(*case, GF(p))
+
+
+@pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
+def test_det_line_singular_start_on_saito_pencil(p):
+    # f vanishes at the origin, so the line from a = 0 must be re-anchored
+    s = build_saito_matrix(d4_in(), (1, 1, 1, 2))
+    rng = random.Random(p)
+    b = [0] * s.n
+    while s.det_at(b, GF(p)) == 0:
+        b = [rng.randrange(p) for _ in range(s.n)]
+    assert s.det_at([0] * s.n, GF(p)) == 0
+    _check_det_line(s.pencil, [0] * s.n, b, GF(p))
+    coeffs = s.pencil.det_line([0] * s.n, b, GF(p))
+    # f is homogeneous of degree n: f(t b) = f(b) t^n
+    assert coeffs == [0] * s.n + [s.det_at(b, GF(p))]
+
+
+def test_det_line_of_the_empty_matrix():
+    assert AffinePencil(np.zeros((0, 0), dtype=np.int64)).det_line([1], [2], F) == [1]
 
 
 def _writes_rows(target) -> bool:

@@ -178,6 +178,19 @@ def test_perp_candidates_a2():
     assert all(c.vector != (1, 1) for c in cands)
 
 
+@pytest.mark.parametrize("field", [F, GF(7), QQ])
+def test_sample_draws_arrow_by_arrow_row_major(field):
+    # one vector draw split by reshapes gives the per-arrow, per-row draw
+    q = d4_in()
+    d = (1, 2, 3, 2)
+    got = sample_representation(q, d, field, random.Random(4))
+    rng = random.Random(4)
+    want = [ExactMatrix(field, [[field.random(rng) for _ in range(d[s])]
+                                for _ in range(d[t])], shape=(d[t], d[s]))
+            for s, t in q.arrow_indices()]
+    assert list(got.mats) == want
+
+
 def test_rep_json_roundtrip():
     rng = random.Random(6)
     q = d4_in()

@@ -220,15 +220,22 @@ def test_component_degrees_d4():
     assert report["unique_multiset"]
 
 
-def test_degree_probe_needs_distinct_nodes():
-    # A4, d = (1, 1, 1, 1): at p = 3 the nodes 0..deg+2 of every probe
-    # collide mod p, so no candidate may pass; at p = 5 the degree-1 ones do
+def test_degree_probe_at_small_primes():
+    # A4, d = (1, 1, 1, 1): f = x1 x2 x3. The probe reads the restriction's
+    # coefficients exactly, so it needs no nodes distinct mod p and certifies
+    # the three degree-1 components even at p = 3
     q = Quiver(("1", "2", "3", "4"), (("1", "2"), ("2", "3"), ("3", "4")))
-    report = component_degrees_report(q, (1, 1, 1, 1), Config(prime=3))
+    for prime in (3, 5):
+        report = component_degrees_report(q, (1, 1, 1, 1), Config(prime=prime))
+        assert report["certified"] and report["degrees"] == [1, 1, 1]
+
+
+def test_shared_points_are_bounded(monkeypatch):
+    # f vanishing at every sample must end the search, not loop forever
+    monkeypatch.setattr(SaitoMatrix, "det_at", lambda self, xvec, field: 0)
+    report = component_degrees_report(d4_in(), (1, 1, 1, 2), CFG)
     assert not report["certified"]
-    assert report["reason"] == "no subset of candidate degrees certified against f"
-    report = component_degrees_report(q, (1, 1, 1, 1), Config(prime=5))
-    assert report["certified"] and report["degrees"] == [1, 1, 1]
+    assert report["reason"] == "Saito determinant nonzero at only 0 of 100 sampled points"
 
 
 def test_relative_invariant_a2():
