@@ -19,6 +19,8 @@ class Config:
         GF(self.prime)  # rejects moduli the F_p kernels cannot use
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.entry_bound < 1:
+            raise ValueError("entry_bound must be >= 1")
 
     def field(self):
         return GF(self.prime)

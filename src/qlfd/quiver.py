@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import CyclicQuiver, DisconnectedQuiver, QuiverInputError
 from .fields import QQ
 from .matrix import ExactMatrix
-from .poly import interpolate
 
 DimVector = tuple  # integer entries, one per vertex, in Quiver.vertices order
 
@@ -87,22 +85,46 @@ class Quiver:
                     frontier.append(w)
         return len(seen) == self.n_vertices
 
+    def successors(self):
+        """Target indices of the arrows out of each vertex, one list per vertex."""
+        succ = [[] for _ in self.vertices]
+        for s, t in self.arrow_indices():
+            succ[s].append(t)
+        return succ
+
     def is_acyclic(self) -> bool:
-        """No directed cycles (Kahn topological sort)."""
-        indeg = {v: 0 for v in self.vertices}
-        for _, t in self.arrows:
-            indeg[t] += 1
-        stack = [v for v in self.vertices if indeg[v] == 0]
-        seen = 0
+        """No directed cycles; a loop counts as one."""
+        return topological_order(self.successors()) is not None
+
+
+def topological_order(succ):
+    """DFS post-order of the digraph i -> succ[i], or None on a directed cycle.
+
+    Every vertex comes after all of its successors; vertices and successors
+    are visited in the given order, so the result is deterministic. The
+    search keeps its own stack, so path length is not bounded by recursion.
+    """
+    state = [0] * len(succ)  # 0 unseen, 1 on stack, 2 done
+    order = []
+    for root in range(len(succ)):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(succ[root]))]
         while stack:
-            v = stack.pop()
-            seen += 1
-            for i in self.outgoing(v):
-                t = self.arrows[i][1]
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    stack.append(t)
-        return seen == self.n_vertices
+            i, rest = stack[-1]
+            for j in rest:
+                if state[j] == 1:
+                    return None
+                if state[j] == 0:
+                    state[j] = 1
+                    stack.append((j, iter(succ[j])))
+                    break
+            else:
+                stack.pop()
+                state[i] = 2
+                order.append(i)
+    return order
 
 
 def sources(q: Quiver):
@@ -205,26 +227,15 @@ class GraphClass:
         return out
 
 
-def _char_poly_coeff_signs(c_rows):
-    """Coefficients e_k (sums of k x k principal minors) of det(tI - C)."""
-    n = len(c_rows)
-    c = np.array(c_rows, dtype=object).reshape(n, n)
-    pts = [(t, ExactMatrix(QQ, t * np.eye(n, dtype=np.int64) - c).det())
-           for t in range(n + 1)]
-    p = interpolate(QQ, pts)
-    coeffs = p.coeffs + [Fraction(0)] * (n + 1 - len(p.coeffs))
-    # det(tI - C) = sum_k (-1)^k e_k t^(n-k)
-    return [(-1) ** k * coeffs[n - k] for k in range(n + 1)]
-
-
 def _leading_minors_positive(c_rows) -> bool:
     n = len(c_rows)
     c = np.array(c_rows, dtype=object).reshape(n, n)
     return all(ExactMatrix(QQ, c[:k, :k]).det() > 0 for k in range(1, n + 1))
 
 
-def _radical_generator(q: Quiver):
-    ker = ExactMatrix(QQ, cartan_matrix(q)).nullspace()
+def _radical_generator(c_rows):
+    """Primitive generator of a one-dimensional kernel with all entries > 0."""
+    ker = ExactMatrix(QQ, c_rows).nullspace()
     if ker.ncols != 1:
         return None
     col = ker.a[:, 0].tolist()
@@ -312,20 +323,25 @@ def _shape_name(q: Quiver, kind: str) -> str:
 def classify_graph(q: Quiver) -> GraphClass:
     """Dynkin / tame / wild by definiteness of the Cartan form.
 
-    Dynkin: positive definite. Tame: positive semidefinite with a
-    one-dimensional radical, whose primitive positive generator delta is
-    returned. Everything else is wild.
+    Dynkin: positive definite, read off the leading principal minors of C.
+    Tame: positive semidefinite with a one-dimensional radical, whose
+    primitive positive generator delta is returned. Everything else is wild.
+
+    A radical generator u > 0 already makes C semidefinite: C is symmetric
+    with C_ij <= 0 off the diagonal, and Cu = 0 gives
+
+        x^T C x = 1/2 sum_{i != j} (-C_ij) u_i u_j (x_i/u_i - x_j/u_j)^2 >= 0.
+
+    So tame means exactly that the kernel of C is spanned by a positive vector.
     """
     if not q.is_connected():
         raise DisconnectedQuiver("classification requires a connected quiver")
     c = cartan_matrix(q)
     if _leading_minors_positive(c):
         return GraphClass("dynkin", _shape_name(q, "dynkin"))
-    ek = _char_poly_coeff_signs(c)
-    if all(x >= 0 for x in ek):
-        delta = _radical_generator(q)
-        if delta is not None:
-            return GraphClass("tame", _shape_name(q, "tame"), delta)
+    delta = _radical_generator(c)
+    if delta is not None:
+        return GraphClass("tame", _shape_name(q, "tame"), delta)
     return GraphClass("wild", "wild")
 
 

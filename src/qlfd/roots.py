@@ -15,10 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CyclicQuiver, NotTame, QuiverInputError
-from .fields import QQ
-from .matrix import ExactMatrix
-from .quiver import (Quiver, check_dim, classify_graph, euler_form,
-                     euler_matrix, sym_form, tits_form)
+from .quiver import (Quiver, cartan_matrix, check_dim, classify_graph,
+                     euler_form, euler_matrix, tits_form, topological_order)
+
+
+def _reflect(c_row, j, v):
+    """r_j(v) = v - (Cv)_j e_j, from the row C_j of the Cartan matrix (C_jj = 2)."""
+    pairing = sum(a * x for a, x in zip(c_row, v))
+    return v[:j] + (v[j] - pairing,) + v[j + 1:]
 
 
 def reflect(q: Quiver, k, d):
@@ -27,9 +31,7 @@ def reflect(q: Quiver, k, d):
     if q.has_loop(k):
         raise QuiverInputError(f"cannot reflect at vertex {k!r}: loop present")
     ki = q.vertex_index(k)
-    e_k = tuple(1 if i == ki else 0 for i in range(q.n_vertices))
-    pairing = sym_form(q, d, e_k)
-    return tuple(x - pairing * (i == ki) for i, x in enumerate(d))
+    return _reflect(cartan_matrix(q)[ki], ki, d)
 
 
 def is_real_root(q: Quiver, d, depth_bound: int = 10**6) -> str:
@@ -37,68 +39,58 @@ def is_real_root(q: Quiver, d, depth_bound: int = 10**6) -> str:
 
     A positive vector with q_Q = 1 is a real root iff some sequence of
     simple reflections takes it to a unit vector. Height-descent decides
-    this: while v is not a unit, reflect at any k with (v, e_k)_Q > 0; the
-    height strictly drops, and a mixed-sign result certifies 'no' (orbits
-    of roots never leave +/-). The bound caps total descent.
+    this: while v is not a unit, reflect at the first loop-free k with
+    (v, e_k)_Q > 0; the height strictly drops, and a mixed-sign result
+    certifies 'no' (orbits of roots never leave +/-). The bound caps total
+    descent.
     """
     d = check_dim(q, d)
     if tits_form(q, d) != 1:
         return "no"
     if any(x < 0 for x in d):
         return "no"
-    n = q.n_vertices
-    units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    c = cartan_matrix(q)
+    free = [j for j in range(q.n_vertices) if c[j][j] == 2]
     v = d
     spent = 0
-    while True:
-        if v in units:
-            return "yes"
-        pick = None
-        for j, u in enumerate(units):
-            if q.has_loop(q.vertices[j]):
-                continue
-            if sym_form(q, v, u) > 0:
-                pick = j
+    while sum(v) != 1:
+        for j in free:
+            w = _reflect(c[j], j, v)
+            if w[j] < v[j]:
                 break
-        if pick is None:
+        else:
             return "no"
-        w = reflect(q, q.vertices[pick], v)
-        if any(x < 0 for x in w):
+        if w[j] < 0:
             return "no"
-        spent += sum(v) - sum(w)
+        spent += v[j] - w[j]
         if spent > depth_bound:
             return "inconclusive"
         v = w
+    return "yes"
 
 
 def positive_real_roots(q: Quiver, bound):
     """All positive real roots with entries within the given box.
 
     `bound` is an int or a per-vertex tuple. Found by closing the unit
-    vectors under simple reflections inside the box; any positive real root
-    in the box descends to a unit vector through the box, so this is
-    exhaustive.
+    vectors at loop-free vertices (the units with q_Q = 1) under simple
+    reflections inside the box; any positive real root in the box descends
+    to a unit vector through the box, so this is exhaustive.
     """
     n = q.n_vertices
     if isinstance(bound, int):
         box = (bound,) * n
     else:
         box = tuple(int(b) for b in bound)
-    loop_free = [not q.has_loop(v) for v in q.vertices]
-    units = [tuple(1 if i == j else 0 for i in range(n))
-             for j in range(n) if box[j] >= 1]
-    start = [u for u in units if tits_form(q, u) == 1]
-    seen = set(start)
-    frontier = list(start)
+    c = cartan_matrix(q)
+    free = [j for j in range(n) if c[j][j] == 2]
+    seen = {tuple(int(i == j) for i in range(n)) for j in free if box[j] >= 1}
+    frontier = list(seen)
     while frontier:
         v = frontier.pop()
-        for j in range(n):
-            if not loop_free[j]:
-                continue
-            w = reflect(q, q.vertices[j], v)
-            if w in seen:
-                continue
-            if all(0 <= w[i] <= box[i] for i in range(n)):
+        for j in free:
+            w = _reflect(c[j], j, v)
+            if 0 <= w[j] <= box[j] and w not in seen:
                 seen.add(w)
                 frontier.append(w)
     return sorted(seen)
@@ -120,37 +112,31 @@ class CoxeterMatrix:
         return tuple(v)
 
 
-def _int_inverse(rows):
-    n = len(rows)
-    aug = ExactMatrix(QQ, np.hstack([np.array(rows, dtype=object).reshape(n, n),
-                                     np.eye(n, dtype=np.int64)]))
-    red, piv = aug.rref()
-    inv = red.a[:, n:]
-    if piv != list(range(n)) or any(x.denominator != 1 for x in inv.flat):
-        raise CyclicQuiver("Euler matrix is not invertible over the integers")
-    return [[int(x) for x in row] for row in inv.tolist()]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
 def coxeter_matrix(q: Quiver) -> CoxeterMatrix:
-    """Phi = -E^{-1} E^t and its inverse, for an acyclic quiver."""
-    if not q.is_acyclic():
-        raise CyclicQuiver("Coxeter matrix needs an acyclic quiver")
-    e = euler_matrix(q)
+    """Phi = -E^{-1} E^t and its inverse, for an acyclic quiver.
+
+    E = I - A with A nilpotent, so E^{-1} = sum_k A^k = P counts the paths
+    i -> j (the trivial ones included). With E^t = C - E this gives
+    Phi = I - P C and Phi^{-1} = -P^t E = I - P^t C, in exact integers.
+    """
     n = q.n_vertices
-    et = [[e[j][i] for j in range(n)] for i in range(n)]
-    e_inv = _int_inverse(e)
-    et_inv = _int_inverse(et)
-    phi = [[-x for x in row] for row in _mat_mul(e_inv, et)]
-    phi_inv = [[-x for x in row] for row in _mat_mul(et_inv, e)]
-    check = _mat_mul(phi, phi_inv)
-    assert all(check[i][j] == (i == j) for i in range(n) for j in range(n))
-    return CoxeterMatrix(tuple(map(tuple, phi)), tuple(map(tuple, phi_inv)))
+    succ = q.successors()
+    order = topological_order(succ)
+    if order is None:
+        raise CyclicQuiver("Coxeter matrix needs an acyclic quiver")
+    paths = [None] * n
+    for i in order:  # every successor's row is done first
+        row = [int(i == j) for j in range(n)]
+        for t in succ[i]:
+            row = [x + y for x, y in zip(row, paths[t])]
+        paths[i] = row
+    c = cartan_matrix(q)
+
+    def one_minus(p):
+        return tuple(tuple(int(i == j) - sum(p[i][k] * c[k][j] for k in range(n))
+                           for j in range(n)) for i in range(n))
+
+    return CoxeterMatrix(one_minus(paths), one_minus(list(zip(*paths))))
 
 
 def tau_dim(q: Quiver, d, steps: int = 1):
@@ -289,26 +275,3 @@ def tube_chain_acyclic(t: Tube, parts) -> bool:
     return topological_order([[j for j in range(k) if j != i
                                and tube_ext_nonzero(t, parts[i], parts[j])]
                               for i in range(k)]) is not None
-
-
-def topological_order(succ):
-    """DFS post-order of the digraph i -> succ[i], or None on a directed cycle.
-
-    Every vertex comes after all of its successors; vertices and successors
-    are visited in the given order, so the result is deterministic.
-    """
-    state = [0] * len(succ)  # 0 unseen, 1 on stack, 2 done
-    order = []
-
-    def visit(i):
-        state[i] = 1
-        for j in succ[i]:
-            if state[j] == 1 or (state[j] == 0 and not visit(j)):
-                return False
-        state[i] = 2
-        order.append(i)
-        return True
-
-    if all(state[i] == 2 or visit(i) for i in range(len(succ))):
-        return order
-    return None

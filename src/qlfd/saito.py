@@ -29,11 +29,11 @@ from .matrix import AffinePencil
 from .poly import UnivariatePoly
 from .quiver import (Quiver, check_dim, classify_graph, euler_form,
                      euler_matrix, is_positive, is_sincere, is_tree,
-                     rep_dimension, stages, support_pair, tits_form)
+                     rep_dimension, stages, support_pair, tits_form,
+                     topological_order)
 from .reps import (Representation, c_pencil, coord_offsets, coords_from_rep,
                    hom_ext, is_schur_root, perp_candidates,
                    sample_representation)
-from .roots import topological_order
 
 
 # -- the Saito matrix ------------------------------------------------------------------
@@ -277,7 +277,6 @@ def degree_sum_check(degrees, subset_size: int, target: int, limit: int = 100000
     vals = [degrees[i] for i in order]
     n = len(vals)
     suffix_max = [0] * (n + 1)
-    suffix_min = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_max[i] = suffix_max[i + 1] + vals[i]
     out = []

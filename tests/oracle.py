@@ -2,7 +2,8 @@
 integer coefficients, the full expansion of a Saito determinant (gated to
 low dimension), and an exact Gram-rank irreducibility certificate for
 quadratics. The operation set is minimal: ring arithmetic and a memoized
-determinant expansion.
+determinant expansion. Also the characteristic-polynomial reference for the
+Dynkin / tame / wild split of a quiver.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import numpy as np
 
 from qlfd.fields import QQ
 from qlfd.matrix import ExactMatrix
+from qlfd.poly import interpolate
+from qlfd.quiver import _leading_minors_positive, _radical_generator, cartan_matrix
 
 
 class MultiPoly:
@@ -160,3 +163,32 @@ def expand_f_symbolic(s, expand_limit: int = 8) -> MultiPoly:
     for i, j, k, c in s.pencil.terms.tolist():
         grid[i][j] = grid[i][j].add(MultiPoly.coordinate(k, nvars, c))
     return sym_det(grid)
+
+
+def char_poly_coeff_signs(c_rows):
+    """Coefficients e_k (sums of k x k principal minors) of det(tI - C)."""
+    n = len(c_rows)
+    c = np.array(c_rows, dtype=object).reshape(n, n)
+    pts = [(t, ExactMatrix(QQ, t * np.eye(n, dtype=np.int64) - c).det())
+           for t in range(n + 1)]
+    p = interpolate(QQ, pts)
+    coeffs = p.coeffs + [Fraction(0)] * (n + 1 - len(p.coeffs))
+    # det(tI - C) = sum_k (-1)^k e_k t^(n-k)
+    return [(-1) ** k * coeffs[n - k] for k in range(n + 1)]
+
+
+def graph_kind_by_char_poly(q):
+    """(kind, delta) of a connected quiver by the semidefiniteness test.
+
+    Dynkin when the leading minors of C are positive; tame when every e_k is
+    >= 0 (C positive semidefinite) and the radical is spanned by a positive
+    vector delta; wild otherwise.
+    """
+    c = cartan_matrix(q)
+    if _leading_minors_positive(c):
+        return "dynkin", None
+    if all(x >= 0 for x in char_poly_coeff_signs(c)):
+        delta = _radical_generator(c)
+        if delta is not None:
+            return "tame", delta
+    return "wild", None

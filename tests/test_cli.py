@@ -98,7 +98,9 @@ def test_bad_input_exit_code(tmp_path, capsys):
 def test_bad_config_is_a_json_error(capsys):
     for argv in (["--prime", "9", "analyze", path("a2.json")],
                  ["--trials", "0", "lfd", path("a2.json")],
-                 ["--prime", "2305843009213693951", "lfd", path("a2.json")]):
+                 ["--prime", "2305843009213693951", "lfd", path("a2.json")],
+                 ["--entry-bound", "0", "tubes", path("e7.json")],
+                 ["--entry-bound", "-5", "tubes", path("e7.json")]):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

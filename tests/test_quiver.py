@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qlfd import (Quiver, cartan_matrix, classify_graph, euler_form,
                   euler_matrix, is_tree, quiver_from_json, quiver_to_json,
@@ -8,6 +8,7 @@ from qlfd.errors import CyclicQuiver, QuiverInputError
 from qlfd.roots import reflect
 
 from conftest import E7_JSON, a2, a3, cycle, d4_in, kronecker
+from oracle import graph_kind_by_char_poly
 
 
 def test_euler_matrix_a2():
@@ -66,6 +67,27 @@ def test_classify_wild():
 def test_classify_affine_cycle():
     gc = classify_graph(cycle(3))
     assert gc.kind == "tame" and gc.name == "A~2" and gc.delta == (1, 1, 1)
+
+
+@st.composite
+def connected_quivers(draw, max_vertices=7):
+    """A random spanning tree plus a few extra arrows, loops allowed."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    vs = tuple(str(i + 1) for i in range(n))
+    arrows = []
+    for i in range(1, n):
+        j = draw(st.integers(min_value=0, max_value=i - 1))
+        arrows.append((vs[i], vs[j]) if draw(st.booleans()) else (vs[j], vs[i]))
+    extra = st.tuples(st.sampled_from(vs), st.sampled_from(vs))
+    arrows += draw(st.lists(extra, max_size=2))
+    return Quiver(vs, tuple(arrows))
+
+
+@settings(max_examples=500)
+@given(q=connected_quivers())
+def test_classify_matches_char_poly_rule(q):
+    gc = classify_graph(q)
+    assert (gc.kind, gc.delta) == graph_kind_by_char_poly(q)
 
 
 def test_tree_sources_sinks():

@@ -1,16 +1,18 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from qlfd import (classify_graph, coxeter_matrix, defect, find_tubes,
-                  is_real_root, positive_real_roots, reflect, tau_dim,
-                  tits_form, tube_chain_acyclic, tube_ext_nonzero)
+from qlfd import (classify_graph, coxeter_matrix, defect, euler_matrix,
+                  find_tubes, is_real_root, positive_real_roots, reflect,
+                  tau_dim, tits_form, tube_chain_acyclic, tube_ext_nonzero)
+from qlfd import quiver
 from qlfd.errors import CyclicQuiver, NotTame, QuiverInputError
 from qlfd.quiver import Quiver
 from qlfd.roots import topological_order
 
-from conftest import a2, a3, cycle, d4_in, kronecker
+from conftest import a2, a3, cycle, d4_in, kronecker, random_tree_quiver
 
 
 def test_reflect_examples():
@@ -37,6 +39,12 @@ def test_is_real_root():
     assert is_real_root(a2(), (2, 2)) == "no"
     assert is_real_root(kronecker(), (1, 1)) == "no"  # q = 0
     assert is_real_root(kronecker(), (2, 1)) == "yes"
+    # q = 1, but the descent leaves the positive orthant
+    triple = Quiver(("1", "2", "3"), (("1", "2"),) * 3 + (("2", "3"),))
+    assert tits_form(triple, (1, 1, 2)) == tits_form(triple, (2, 1, 2)) == 1
+    assert is_real_root(triple, (1, 1, 2)) == "no"
+    assert is_real_root(triple, (2, 1, 2)) == "no"
+    assert is_real_root(triple, (3, 1, 0)) == "yes"
 
 
 def test_coxeter_fixes_delta_on_tame():
@@ -101,6 +109,91 @@ def test_defect_needs_tame():
 def test_positive_real_roots_a2():
     roots = positive_real_roots(a2(), 2)
     assert set(roots) == {(1, 0), (0, 1), (1, 1)}
+
+
+def test_positive_real_roots_skip_loop_vertices():
+    q = Quiver(("1", "2"), (("1", "1"), ("1", "2")))
+    assert positive_real_roots(q, 3) == [(0, 1)]
+    assert is_real_root(q, (0, 1)) == "yes"
+
+
+def _dynkin_edges(name):
+    """Edges of a Dynkin diagram: a path, with the last vertex of D and E moved
+    to branch off the second-to-last (D) or the third (E) path vertex."""
+    kind, n = name[0], int(name[1:])
+    path = [(i, i + 1) for i in range(1, n - 1)]
+    if kind == "A":
+        return path + [(n - 1, n)] if n > 1 else []
+    return path + [(n - 2 if kind == "D" else 3, n)]
+
+
+DYNKIN_ROOT_COUNTS = dict(
+    [(f"A{n}", n * (n + 1) // 2) for n in range(1, 9)]
+    + [(f"D{n}", n * (n - 1)) for n in range(4, 9)]
+    + [("E6", 36), ("E7", 63), ("E8", 120)])
+
+
+@pytest.mark.parametrize("name", sorted(DYNKIN_ROOT_COUNTS))
+def test_dynkin_positive_root_counts(name):
+    rng = random.Random(name)
+    n = int(name[1:])
+    vs = tuple(str(i) for i in range(1, n + 1))
+    arrows = tuple((str(u), str(v)) if rng.random() < 0.5 else (str(v), str(u))
+                   for u, v in _dynkin_edges(name))
+    q = Quiver(vs, arrows)
+    assert classify_graph(q).name == name
+    roots = positive_real_roots(q, 6)
+    assert len(roots) == DYNKIN_ROOT_COUNTS[name]
+    assert all(tits_form(q, r) == 1 for r in roots)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       n=st.integers(min_value=1, max_value=7))
+def test_real_root_descent_matches_root_search(seed, n):
+    # from 7 vertices on, trees have vectors with q = 1 that are not roots
+    q = random_tree_quiver(random.Random(seed), n)
+    box = [v for v in itertools.product(range(4), repeat=n)
+           if tits_form(q, v) == 1]
+    accepted = [v for v in box if is_real_root(q, v) == "yes"]
+    assert accepted == positive_real_roots(q, 3)
+
+
+@st.composite
+def acyclic_quivers(draw, max_vertices=6):
+    """Arrows go up a random vertex order, up to two of them per pair."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    rank = draw(st.permutations(range(n)))
+    arrows = []
+    for i, j in itertools.combinations(range(n), 2):
+        lo, hi = sorted((rank[i], rank[j]))
+        arrows += [(str(lo), str(hi))] * draw(st.integers(min_value=0, max_value=2))
+    return Quiver(tuple(str(i) for i in range(n)), tuple(arrows))
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@given(q=acyclic_quivers())
+def test_coxeter_matrix_from_path_counts(q):
+    n = q.n_vertices
+    e = euler_matrix(q)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    adj = [[int(i == j) - e[i][j] for j in range(n)] for i in range(n)]
+    # E^{-1} = sum_{k<n} A^k: entry (i, j) counts the paths i -> j
+    paths, power = ident, ident
+    for _ in range(n - 1):
+        power = _mat_mul(power, adj)
+        paths = [[x + y for x, y in zip(r, s)] for r, s in zip(paths, power)]
+    assert _mat_mul(e, paths) == ident
+    et = [list(col) for col in zip(*e)]
+    pt = [list(col) for col in zip(*paths)]
+    cm = coxeter_matrix(q)
+    assert [list(r) for r in cm.phi] == [[-x for x in r] for r in _mat_mul(paths, et)]
+    assert [list(r) for r in cm.phi_inv] == [[-x for x in r] for r in _mat_mul(pt, e)]
+    assert _mat_mul(cm.phi, cm.phi_inv) == ident
+    assert all(type(x) is int for r in cm.phi + cm.phi_inv for x in r)
 
 
 def test_tubes_sum_to_delta(e7_pair):
@@ -206,3 +299,12 @@ def test_topological_order():
     assert topological_order([[], [0], [0, 1]]) == [0, 1, 2]
     assert topological_order([[1], [2], [0]]) is None
     assert topological_order([]) == []
+    chain = [[i + 1] for i in range(4999)] + [[]]  # deeper than recursion allows
+    assert topological_order(chain) == list(range(4999, -1, -1))
+    assert topological_order is quiver.topological_order
+
+
+def test_is_acyclic():
+    assert a3().is_acyclic() and kronecker().is_acyclic()
+    assert not cycle(3).is_acyclic()
+    assert not Quiver(("1", "2"), (("1", "2"), ("2", "2"))).is_acyclic()
