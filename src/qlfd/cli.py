@@ -17,11 +17,12 @@ import sys
 from .config import Config
 from .errors import (CyclicQuiver, DisconnectedQuiver, NotLfdShape, NotTame,
                      QuiverInputError, StepLimit)
-from .quiver import (Quiver, cartan_matrix, classify_graph, euler_matrix,
-                     is_sincere, is_tree, quiver_from_json, quiver_to_json,
-                     rep_dimension, sinks, sources, stages, tits_form)
+from .quiver import (Quiver, cartan_matrix, classify_graph, euler_form,
+                     euler_matrix, is_sincere, is_tree, quiver_from_json,
+                     quiver_to_json, rep_dimension, sinks, sources, stages,
+                     tits_form)
 from .reflections import bipartite_normal_form, reflect_pair
-from .roots import defect, find_tubes
+from .roots import _tubes
 from .saito import (component_degrees_report, euler_homogeneity_witness,
                     lfd_verdict, quasihom_certificate)
 
@@ -79,7 +80,7 @@ def cmd_analyze(q: Quiver, d, config: Config):
         report["dim_rep"] = rep_dimension(q, d)
         report["sincere"] = is_sincere(d)
         if gc.kind == "tame":
-            report["defect"] = defect(q, d)
+            report["defect"] = euler_form(q, gc.delta, d)
     return report, EXIT_OK
 
 
@@ -99,8 +100,8 @@ def cmd_degrees(q: Quiver, d, config: Config):
 
 
 def cmd_tubes(q: Quiver, d, config: Config):
-    tubes = find_tubes(q, config.entry_bound)
     gc = classify_graph(q)
+    tubes = _tubes(q, gc)
     out = {
         "command": "tubes",
         "quiver": quiver_to_json(q, d),

@@ -7,6 +7,7 @@ point anywhere.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 DEFAULT_PRIME = 2**31 - 1
@@ -155,5 +156,7 @@ class PrimeField:
 QQ = Rationals()
 
 
+@functools.lru_cache(maxsize=128)
 def GF(p: int) -> PrimeField:
+    """F_p, built once per modulus: the primality proof is not repeated."""
     return PrimeField(p)

@@ -7,6 +7,13 @@ modulus < 2^31, so the F_p kernels are exact in int64. Rank and nullspace
 come from one Gauss-Jordan elimination for both fields; the determinant is
 fraction-free (Bareiss) over Q and Gaussian elimination mod p over F_p.
 
+The F_p determinant is one kernel on a (B, n, n) stack: each column step
+runs the same few numpy operations on all B members, so B determinants cost
+little more than one when n is small, and one determinant is the B = 1
+case. A member without a pivot in some column has determinant 0, and the
+rest of the stack carries on. AffinePencil.det evaluates a pencil at B
+points through the stack.
+
 AffinePencil.det_line turns the determinant of an n x n pencil along a
 line into its polynomial over F_p in one O(n^3) pass: one elimination of
 [A | B] and a Hessenberg characteristic polynomial. A singular start point
@@ -148,7 +155,7 @@ class ExactMatrix:
             return self.field.one
         p = _modulus(self.field)
         if p is not None:
-            return int(_gf_det(self.a, p))
+            return int(_gf_det(self.a[None], p)[0])
         return _bareiss_det_q(self.a.tolist())
 
 
@@ -180,12 +187,18 @@ class AffinePencil:
         p = _modulus(field)
         return m if p is None else m % p
 
-    def det(self, xvec, field):
-        m = self.at(xvec, field)
+    def det(self, x, field):
+        """det M(x) at one point x; for a (B, k) array of points, the list of
+        the B values, which over F_p come from one stacked elimination."""
+        stacked = np.ndim(x) == 2
+        ms = [self.at(xi, field) for xi in x] if stacked else [self.at(x, field)]
         p = _modulus(field)
-        if p is not None:
-            return _gf_det(m, p)
-        return ExactMatrix(field, m).det()
+        if p is None:
+            vals = [ExactMatrix(field, m).det() for m in ms]
+        else:
+            vals = _gf_det(np.array(ms, dtype=np.int64).reshape(len(ms), *self.shape),
+                           p).tolist()
+        return vals if stacked else vals[0]
 
     def det_line(self, a, b, field):
         """Coefficients, low to high, of t -> det M(a + t b) over F_p, or None.
@@ -242,25 +255,45 @@ def _bareiss_det_q(rows) -> Fraction:
 # -- F_p kernels on int64 arrays ---------------------------------------------
 
 
-def _gf_det(a: np.ndarray, p: int) -> int:
-    a = np.array(a, dtype=np.int64) % p
-    n = a.shape[0]
-    det = 1
+def _gf_det(a: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a (B, n, n) stack, as an int64 array of B residues.
+
+    Gaussian elimination on every member at once. Column c takes each
+    member's first nonzero entry at or below the diagonal as its pivot; a
+    member that has none is singular: its pivot stays 0, its inverse is taken
+    as 0, so the member is left as it is and its determinant is 0. A residue
+    minus a product of two residues lies in (-2^62, p), so one reduction per
+    update keeps int64 exact.
+    """
+    a = np.asarray(a, dtype=np.int64) % p
+    b, n, _ = a.shape
     for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        r = c + int(nz[0])
-        if r != c:
-            a[[c, r]] = a[[r, c]]
-            det = -det % p
-        pivot = int(a[c, c])
-        det = det * pivot % p
+        piv = a[:, c, c]  # a view: it sees the row swaps below
+        if not piv.all():
+            below = (a[:, c:, c] != 0).argmax(axis=1)
+            k = np.flatnonzero(below)
+            r = c + below[k]
+            # swap rows c and r and negate the new row c: det is unchanged
+            a[k, c], a[k, r] = -a[k, r] % p, a[k, c].copy()
+            if not piv.any():
+                return np.zeros(b, dtype=np.int64)
         if c + 1 < n:
-            inv = pow(pivot, p - 2, p)
-            factors = a[c + 1:, c] * inv % p
-            a[c + 1:, c:] = (a[c + 1:, c:] - np.outer(factors, a[c, c:])) % p
-    return det
+            inv = np.array([pow(x, -1, p) if x else 0 for x in piv.tolist()],
+                           dtype=np.int64)
+            factors = a[:, c + 1:, c] * inv[:, None] % p
+            rest = a[:, c + 1:, c + 1:]
+            upd = factors[:, :, None] * a[:, None, c, c + 1:]
+            np.subtract(rest, upd, out=upd)
+            np.remainder(upd, p, out=rest)
+    # the matrices are now upper triangular up to the entries below the
+    # diagonal, which no later step reads: det is the product of the diagonal
+    dets = []
+    for diag in np.diagonal(a, axis1=1, axis2=2).tolist():
+        det = 1
+        for x in diag:
+            det = det * x % p
+        dets.append(det)
+    return np.array(dets, dtype=np.int64)
 
 
 def _rref(a: np.ndarray, p=None):

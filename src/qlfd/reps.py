@@ -19,7 +19,7 @@ import numpy as np
 from .errors import QuiverInputError
 from .fields import PrimeField
 from .matrix import AffinePencil, ExactMatrix, _entries
-from .quiver import Quiver, check_dim, euler_form, is_positive
+from .quiver import Quiver, check_dim, euler_matrix, is_positive
 
 
 @dataclass(frozen=True)
@@ -255,13 +255,17 @@ def perp_candidates(q: Quiver, d, entry_bound: int, trials: int, field, rng,
         if sv.value != "yes":
             return []
         brick = sv.witness
+    # <e, d> and <d, e> for every root at once: E d and E^t d against the roots
+    e_mat = np.array(euler_matrix(q), dtype=np.int64)
+    dvec = np.array(d, dtype=np.int64)
+    pairings = (np.array(roots, dtype=np.int64).reshape(len(roots), q.n_vertices)
+                @ np.column_stack((e_mat @ dvec, e_mat.T @ dvec)))
     out = []
-    for e in roots:
+    for e, sides in zip(roots, (pairings == 0).tolist()):
         if e == d or not any(e):
             continue
-        for side in ("left", "right"):
-            ortho = euler_form(q, e, d) if side == "left" else euler_form(q, d, e)
-            if ortho != 0:
+        for side, ortho in zip(("left", "right"), sides):
+            if not ortho:
                 continue
             for _ in range(trials):
                 probe = sample_representation(q, e, field, rng)

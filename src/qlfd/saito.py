@@ -376,9 +376,8 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
                 m_rep = sample_representation(q, c.vector, field, rng)
                 pencil = invariant_pencil(q, d, m_rep, side)
                 if _degree_matches(pencil, n, deg, field, rng):
-                    vals = [pencil.det(x, field) for x in pts]
                     scored.append({"vector": c.vector, "degree": deg,
-                                   "values": vals})
+                                   "values": pencil.det(pts, field)})
                     break
         if len(scored) < k_target:
             continue
@@ -508,12 +507,12 @@ def quasihom_certificate(q: Quiver, d, parts, part_reps=None,
         return _ext_digraph_certificate(ext, "concrete")
 
     # Tube route on dimension vectors.
-    from .roots import find_tubes, tube_ext_nonzero
+    from .roots import _tubes, tube_ext_nonzero
     gc = classify_graph(q)
     if gc.kind != "tame":
         return HomogeneityCertificate(
             "none_found", note="no representations given and quiver not tame")
-    tubes = find_tubes(q)
+    tubes = _tubes(q, gc)
     located = []
     for m in parts:
         hits = []

@@ -1,6 +1,9 @@
 import json
 import os
 
+import qlfd.cli
+import qlfd.roots
+import qlfd.saito
 from qlfd.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -44,6 +47,34 @@ def test_tubes_e7(capsys):
     assert code == 0
     assert report["periods"] == [4, 3, 2]
     assert all(t["sum_is_delta"] for t in report["tubes"])
+
+
+def test_tubes_ignore_entry_bound(capsys):
+    # regular simples lie below delta; a small bound must not hide tubes
+    for name, periods in (("e7.json", [4, 3, 2]), ("e8.json", [5, 3, 2])):
+        code, report = run(capsys, "--entry-bound", "1", "tubes", path(name))
+        assert code == 0
+        assert report["periods"] == periods
+        assert run(capsys, "tubes", path(name)) == (code, report)
+
+
+def test_graph_classified_once_per_command(capsys, monkeypatch):
+    calls = []
+    classify = qlfd.cli.classify_graph
+
+    def counted(q):
+        calls.append(q)
+        return classify(q)
+
+    for module in (qlfd.cli, qlfd.roots, qlfd.saito):
+        monkeypatch.setattr(module, "classify_graph", counted)
+    for argv in (["tubes", path("e7.json")], ["analyze", path("e7.json")],
+                 ["homogeneity", path("e7.json"), "--parts",
+                  "1,1,1,2,1,1,1,1:0,1,1,1,1,1,0,0"]):
+        calls.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 1, argv
 
 
 def test_degrees_d4(capsys):

@@ -12,7 +12,11 @@ from qlfd import (ExactMatrix, GF, QQ, UnivariatePoly, build_saito_matrix,
                   interpolate, reducedness_test)
 from qlfd.config import Config
 from qlfd.errors import PrimeTooSmall
-from qlfd.matrix import AffinePencil
+from qlfd.matrix import AffinePencil, _gf_det
+from qlfd.quiver import euler_form
+from qlfd.reps import sample_representation
+from qlfd.roots import positive_real_roots
+from qlfd.saito import invariant_pencil
 
 from conftest import a2, d4_in
 
@@ -165,6 +169,75 @@ def test_rref_idempotent(rows, field):
     assert again == r and piv_again == piv
 
 
+# -- the stacked F_p determinant -------------------------------------------------------
+
+
+@st.composite
+def det_stacks(draw):
+    """A (B, n, n) stack, B <= 6 and n <= 8, mixing random members with ones
+    that have a zero column, a repeated row, or a first pivot that is found
+    only below the diagonal."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    b = draw(st.integers(min_value=1, max_value=6))
+    small = st.integers(min_value=-3, max_value=3)
+    index = st.integers(min_value=0, max_value=max(n - 1, 0))
+    stack = np.array(draw(st.lists(small, min_size=b * n * n, max_size=b * n * n)),
+                     dtype=np.int64).reshape(b, n, n)
+    for m in stack:
+        kind = draw(st.sampled_from(["random", "zero column", "repeated row",
+                                     "pivot below"]))
+        if n == 0 or kind == "random":
+            continue
+        if kind == "zero column":
+            m[:, draw(index)] = 0
+        elif kind == "repeated row" and n > 1:
+            i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+            m[j] = m[i]
+        elif kind == "pivot below":
+            # zero diagonal, and column 0 nonzero only in the last row
+            m[range(n), range(n)] = 0
+            m[:, 0] = 0
+            m[n - 1, 0] = draw(st.integers(min_value=1, max_value=3))
+    return stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=det_stacks(), p=st.sampled_from([7, 101, 2**31 - 1]))
+def test_stacked_det_matches_bareiss(stack, p):
+    expected = [int(ExactMatrix(QQ, m).det()) % p for m in stack]
+    assert _gf_det(stack, p).tolist() == expected
+    assert [ExactMatrix(GF(p), m).det() for m in stack] == expected
+
+
+def _c_matrix_pencil(field):
+    """The right relative-invariant pencil of D4 at d = (1, 1, 1, 2) against a
+    random representation of an orthogonal root."""
+    q, d = d4_in(), (1, 1, 1, 2)
+    e = next(e for e in positive_real_roots(q, 2)
+             if e != d and euler_form(q, d, e) == 0)
+    rep = sample_representation(q, e, field, random.Random(4))
+    return invariant_pencil(q, d, rep, "right")
+
+
+@pytest.mark.parametrize("which", ["saito", "c-matrix"])
+@pytest.mark.parametrize("field", [F, GF(7), QQ])
+def test_pencil_det_at_many_points(which, field):
+    if which == "saito":
+        pencil = build_saito_matrix(d4_in(), (1, 1, 1, 2)).pencil
+    else:
+        pencil = _c_matrix_pencil(field)
+    k = int(pencil.terms[:, 2].max()) + 1
+    rng = random.Random(5)
+    points = [[field.random(rng) for _ in range(k)] for _ in range(5)]
+    points.insert(2, [0] * k)
+    values = pencil.det(points, field)
+    assert values == [pencil.det(x, field) for x in points]
+    assert pencil.det(np.array(points, dtype=object), field) == values
+    if which == "saito":
+        assert values[2] == 0  # f vanishes at the origin
+    assert pencil.det(np.zeros((0, k), dtype=np.int64), field) == []
+
+
 # -- det along a line --------------------------------------------------------------
 
 
@@ -310,6 +383,14 @@ def test_prime_must_fit_int64_kernels():
             Config(prime=p)
         with pytest.raises(ValueError):
             reducedness_test(build_saito_matrix(a2(), (1, 1)), primes=(p,))
+
+
+def test_prime_field_is_built_once_per_modulus():
+    assert GF(101) is GF(101) is Config(prime=101).field()
+    for p in (9, 2**31):  # a rejected modulus is rejected every time
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                GF(p)
 
 
 def test_interpolate_quadratic():
