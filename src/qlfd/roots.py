@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CyclicQuiver, NotTame, QuiverInputError
 from .quiver import (Quiver, cartan_matrix, check_dim, classify_graph,
-                     euler_form, tits_form, topological_order)
+                     euler_form, euler_matrix, tits_form, topological_order)
 
 
 def _reflect(c_row, j, v):
@@ -182,7 +184,7 @@ class Tube:
 def find_tubes(q: Quiver):
     """Exceptional tubes of a tame acyclic quiver.
 
-    Takes the real roots e with 0 < e < delta and defect 0, groups them
+    Enumerates real roots e with 0 < e < delta and defect 0, groups them
     into Coxeter orbits, and keeps exactly the orbits whose members sum to
     delta: those are the regular-simple classes, and the orbit length is
     the tube period. Homogeneous (period-one) tubes are not enumerated.
@@ -199,8 +201,15 @@ def _tubes(q: Quiver, gc):
     delta = gc.delta
     n = q.n_vertices
     # regular simples lie below delta, so the box delta holds every one
-    cands = {e for e in positive_real_roots(q, delta)
-             if euler_form(q, e, delta) == 0}
+    grid = np.indices([b + 1 for b in delta]).reshape(n, -1).T.astype(np.int64)
+    e_mat = np.array(euler_matrix(q), dtype=np.int64)
+    qvals = np.einsum("ij,jk,ik->i", grid, e_mat, grid)
+    dvec = np.array(delta, dtype=np.int64)
+    defects = grid @ (e_mat @ dvec)  # <e, delta>; zero iff <delta, e> is (radical)
+    keep = (qvals == 1) & (defects == 0)
+    cands = {tuple(int(x) for x in row) for row in grid[keep]}
+    cands.discard(delta)
+    cands.discard((0,) * n)
 
     cox = coxeter_matrix(q)
     tubes = []
