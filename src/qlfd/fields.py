@@ -1,8 +1,10 @@
 """Exact scalars: the rationals and prime fields F_p.
 
 Elements are plain Python values (``fractions.Fraction`` over Q, ints in
-``[0, p)`` over F_p); the field objects carry the arithmetic. No floating
-point anywhere.
+``[0, p)`` over F_p). A field object names the field and canonicalises
+scalars (``element``); arithmetic runs on whole arrays in ``matrix`` and
+``poly``, where a matrix and a polynomial are each one numpy array of such
+elements. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ def is_prime(n: int) -> bool:
 class Rationals:
     """The field Q; elements are Fraction."""
 
-    characteristic = 0
-
     def element(self, x):
         return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -54,27 +54,6 @@ class Rationals:
     @property
     def one(self):
         return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / self.element(a)
-
-    def div(self, a, b):
-        return self.element(a) / b
-
-    def is_zero(self, a):
-        return a == 0
 
     def random(self, rng):
         # Small random rationals; integers suffice for genericity tests.
@@ -94,7 +73,7 @@ class PrimeField:
     """The field F_p for an odd prime p < 2^31; elements are ints in [0, p).
 
     The bound keeps every product of two elements below 2^62, which the
-    int64 kernels in ``matrix`` rely on.
+    int64 kernels in ``matrix`` and ``poly`` rely on.
     """
 
     def __init__(self, p: int):
@@ -103,7 +82,6 @@ class PrimeField:
         if p >= 2**31:
             raise ValueError(f"modulus must be below 2^31, got {p}")
         self.p = p
-        self.characteristic = p
 
     def element(self, x):
         return int(x) % self.p
@@ -115,30 +93,6 @@ class PrimeField:
     @property
     def one(self):
         return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def random(self, rng):
         return rng.randrange(self.p)

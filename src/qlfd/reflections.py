@@ -162,11 +162,15 @@ def bipartite_normal_form(q: Quiver, d, max_steps: int = 64):
         raise QuiverInputError("normal form needs a tree quiver")
     if not is_sincere(d):
         raise QuiverInputError("normal form needs a sincere dimension vector")
+    if max_steps < 0:
+        raise QuiverInputError(f"max_steps must be >= 0, got {max_steps}")
     trace = []
-    for _ in range(max_steps):
+    while True:
         st = stages(q)
         if st.top <= 1:
             return q, d, trace
+        if len(trace) == max_steps:
+            raise StepLimit(f"no bipartite form within {max_steps} steps")
         pruned = prune_degenerate_arrow(q, d)
         if pruned is not None:
             q, d, step = pruned
@@ -178,4 +182,3 @@ def bipartite_normal_form(q: Quiver, d, max_steps: int = 64):
         trace.append(ReflectionStep("reflect", k, "sink_to_source",
                                     (q, d), (q_new, d_new)))
         q, d = q_new, d_new
-    raise StepLimit(f"no bipartite form within {max_steps} steps")

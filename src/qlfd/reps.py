@@ -165,8 +165,7 @@ def build_c_matrix(m: Representation, n: Representation) -> ExactMatrix:
 
     Kernel dimension is Hom, cokernel dimension is Ext.
     """
-    c = c_pencil(m.quiver, m, n, m.field)
-    return ExactMatrix._of(m.field, c.at((), m.field))
+    return ExactMatrix(m.field, c_pencil(m.quiver, m, n, m.field).const)
 
 
 @dataclass(frozen=True)

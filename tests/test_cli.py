@@ -94,6 +94,22 @@ def test_reflect_and_normal_form(capsys):
     assert report["stage_count"] <= 2
 
 
+def test_normal_form_exact_step_budget(capsys):
+    # d4 is bipartite already; e7 and e8 need exactly 4 and 11 steps
+    for name, steps in (("d4.json", 0), ("e7.json", 4), ("e8.json", 11)):
+        default = run(capsys, "normal-form", path(name))
+        assert default[0] == 0
+        assert len(default[1]["steps"]) == steps
+        assert run(capsys, "normal-form", "--max-steps", str(steps), path(name)) == default
+        if steps:
+            assert main(["normal-form", "--max-steps", str(steps - 1), path(name)]) == 1
+            assert "error" in json.loads(capsys.readouterr().err)
+    assert main(["normal-form", "--max-steps", "-1", path("d4.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
 def test_homogeneity_split(capsys):
     code, report = run(capsys, "homogeneity", path("a2.json"),
                        "--split", "1,0:0,1")

@@ -59,7 +59,7 @@ def test_rank_nullity(field):
         ker = m.nullspace()
         for k in range(ker.ncols):
             col = [ker.rows[i][k] for i in range(nc)]
-            assert all(field.is_zero(x) for x in m.matvec(col))
+            assert all(x == 0 for x in m.matvec(col))
 
 
 @pytest.mark.parametrize("field", [QQ, F])
@@ -406,16 +406,46 @@ def test_interpolate_duplicate_nodes():
 coeffs = st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=5)
 
 
-@given(a=coeffs, b=coeffs)
-def test_gcd_divides(a, b):
-    pa = UnivariatePoly(QQ, a)
-    pb = UnivariatePoly(QQ, b)
+@given(a=coeffs, b=coeffs, field=st.sampled_from([QQ, GF(7), GF(101), F]))
+def test_gcd_divides(a, b, field):
+    pa = UnivariatePoly(field, a)
+    pb = UnivariatePoly(field, b)
     g = pa.gcd(pb)
     if g.is_zero():
         assert pa.is_zero() and pb.is_zero()
     else:
         assert pa.divmod(g)[1].is_zero()
         assert pb.divmod(g)[1].is_zero()
+
+
+def _product_of_linear_factors(field, roots):
+    """prod (t - r) over the roots, multiplied out by plain integer arithmetic."""
+    out = [1]
+    for r in roots:
+        out = [a - r * b for a, b in zip([0] + out, out + [0])]
+    return UnivariatePoly(field, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([101, 2**31 - 1]), data=st.data())
+def test_squarefree_products_of_linear_factors(p, data):
+    # degree <= 20 < p: distinct roots are squarefree, a repeated root is not
+    field = GF(p)
+    roots = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=20,
+                               unique=True))
+    assert _product_of_linear_factors(field, roots).is_squarefree()
+    repeated = [data.draw(st.sampled_from(roots[:19]))] + roots[:19]
+    assert not _product_of_linear_factors(field, repeated).is_squarefree()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
+def test_squarefree_answers_below_degree_p(p):
+    field = GF(p)
+    roots = list(range(1, p))  # degree p - 1: t^(p-1) - 1
+    assert _product_of_linear_factors(field, roots).is_squarefree()
+    assert not _product_of_linear_factors(field, roots[:-1] + [1]).is_squarefree()
+    with pytest.raises(PrimeTooSmall):  # degree p: t^p - t
+        _product_of_linear_factors(field, roots + [0]).is_squarefree()
 
 
 @given(c=st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6))

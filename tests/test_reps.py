@@ -58,10 +58,10 @@ def _c_matrix_by_loops(m, n):
                 row = out[r0 + c * nd[t] + r]
                 for k in range(md[t]):
                     col = col_off[t] + k * nd[t] + r
-                    row[col] = field.add(row[col], f[k][c])
+                    row[col] = field.element(row[col] + f[k][c])
                 for k in range(nd[s]):
                     col = col_off[s] + c * nd[s] + k
-                    row[col] = field.sub(row[col], g[r][k])
+                    row[col] = field.element(row[col] - g[r][k])
         r0 += md[s] * nd[t]
     return out
 
