@@ -15,8 +15,9 @@ rest of the stack carries on. AffinePencil.det evaluates a pencil at B
 points through the stack.
 
 AffinePencil.det_line turns the determinant of an n x n pencil along a
-line into its polynomial over F_p in one O(n^3) pass: one elimination of
-[A | B] and a Hessenberg characteristic polynomial. A singular start point
+line into its polynomial over F_p in one O(n^3) pass: one Gauss-Jordan
+elimination of [A | B], then the characteristic polynomial of A^-1 B by
+Danilevsky's method, one similarity step per row. A singular start point
 is moved along the line at most min(n + 1, p) times.
 """
 
@@ -27,10 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import PrimeField
+from .fields import QQ, PrimeField
 
 _to_int = np.frompyfunc(int, 1, 1)
-_to_fraction = np.frompyfunc(Fraction, 1, 1)
+_to_fraction = np.frompyfunc(QQ.element, 1, 1)  # passes Fractions through
 
 
 def _modulus(field):
@@ -298,7 +299,10 @@ def _gf_det(a: np.ndarray, p: int) -> np.ndarray:
 
 def _rref(a: np.ndarray, p=None):
     """Gauss-Jordan elimination in place on canonical entries: mod p, or
-    over Q (an array of Fractions) when p is None.
+    over Q (an array of Fractions) when p is None. The pivot of a column is
+    its entry in the next pivot row when that is nonzero, else the first
+    nonzero entry below it; only rows with a nonzero entry in the pivot
+    column are updated.
 
     Returns (a, pivot columns, scale), where scale is the product of the
     pivots with the sign of the row swaps: the determinant of the square
@@ -311,11 +315,11 @@ def _rref(a: np.ndarray, p=None):
         r = len(piv)
         if r == nr:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
+        if not a[r, c]:
+            nz = a[r + 1:, c].nonzero()[0]
+            if nz.size == 0:
+                continue
+            pr = r + 1 + int(nz[0])
             a[[r, pr]] = a[[pr, r]]
             scale = -scale
         if p is None:
@@ -327,10 +331,10 @@ def _rref(a: np.ndarray, p=None):
             a[r] = a[r] * pow(pivot, -1, p) % p
         col = a[:, c].copy()
         col[r] = 0
-        mask = np.flatnonzero(col)
+        mask = col.nonzero()[0]
         if mask.size:
             # row r is zero left of column c, so those columns stay as they are
-            upd = a[mask, c:] - np.outer(col[mask], a[r, c:])
+            upd = a[mask, c:] - col[mask, None] * a[r, c:]
             a[mask, c:] = upd if p is None else upd % p
         piv.append(c)
     return a, piv, scale
@@ -339,40 +343,57 @@ def _rref(a: np.ndarray, p=None):
 def _gf_charpoly(h: np.ndarray, p: int) -> list:
     """Coefficients, low to high, of det(x I - h) mod p.
 
-    Reduces a copy of h to upper Hessenberg form by similarity, then runs
-    the charpoly recurrence on its leading blocks (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.2.9). Each product of two
-    residues is reduced before it enters a sum, so int64 never overflows.
+    Danilevsky's method (Danilevsky 1937; Faddeev and Faddeeva,
+    Computational Methods of Linear Algebra): similarity steps from the
+    bottom row up turn a copy of h into companion blocks, exactly over F_p.
+    At row k the pivot h[k, k-1] is made 1 and the rest of row k 0 by one
+    rank-1 update of the columns on rows <= k, and the inverse step replaces
+    row k-1 by a combination of rows. The rows below k are unit vectors by
+    then and no step touches them. A zero pivot is exchanged for a nonzero
+    entry left of it in row k by swapping a row and the column of the same
+    index; when there is none, the trailing block is companion already, its
+    polynomial splits off, and the leading block carries on. A product of
+    two residues plus one residue stays below 2^63, and every product is
+    reduced before it enters a longer sum, so int64 never overflows.
     """
     h = np.array(h, dtype=np.int64)
-    n = h.shape[0]
-    for j in range(n - 2):
-        nz = np.flatnonzero(h[j + 1:, j])
-        if nz.size == 0:
-            continue
-        r = j + 1 + int(nz[0])
-        if r != j + 1:
-            h[[j + 1, r]] = h[[r, j + 1]]
-            h[:, [j + 1, r]] = h[:, [r, j + 1]]
-        c = h[j + 2:, j] * pow(int(h[j + 1, j]), -1, p) % p
-        # rows k > j + 1 lose c_k times row j + 1; column j + 1 gains the
-        # same multiples of columns k, which keeps h similar to the input
-        h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(c, h[j + 1, j:])) % p
-        h[:, j + 1] = (h[:, j + 1] + (h[:, j + 2:] * c % p).sum(axis=1)) % p
-    # polys[m] = det(x I - h[:m, :m]); at step k, sub[r] = h[r+1, r] ... h[k, k-1]
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    sub = np.zeros(0, dtype=np.int64)
-    for k in range(n):
-        prev = polys[k]
-        polys[k + 1, 1:] = prev[:-1]
-        polys[k + 1] = (polys[k + 1] - h[k, k] * prev) % p
-        if k:
-            sub = np.append(sub * h[k, k - 1] % p, h[k, k - 1])
-            w = h[:k, k] * sub % p
-            tail = (w[:, None] * polys[:k, :k] % p).sum(axis=0) % p
-            polys[k + 1, :k] = (polys[k + 1, :k] - tail) % p
-    return polys[n].tolist()
+    # high to low, as Python ints: the product of the blocks split off so far
+    chi = np.ones(1, dtype=object)
+    m = h.shape[0]
+    while m:
+        a = h[:m, :m]  # the leading block still to reduce
+        k = m - 1
+        while k:
+            row = a[k].copy()
+            if not row[k - 1]:
+                nz = row[:k - 1].nonzero()[0]
+                if nz.size == 0:
+                    break  # a[k:, :k] is zero: the block below splits off
+                j = int(nz[0])
+                a[[j, k - 1]] = a[[k - 1, j]]
+                a[:, [j, k - 1]] = a[:, [k - 1, j]]
+                row = a[k].copy()
+            inv = pow(int(row[k - 1]), -1, p)
+            # columns: c_j -= row[j] / pivot * c_{k-1} for j != k-1, and
+            # c_{k-1} += (1 / pivot - 1) * c_{k-1}, which divides it by the
+            # pivot; this leaves row k as the unit vector e_{k-1}
+            g = row * (p - inv) % p
+            g[k - 1] = (inv - 1) % p
+            upd = np.multiply.outer(a[:k + 1, k - 1], g)
+            upd += a[:k + 1]
+            np.remainder(upd, p, out=a[:k + 1])
+            # rows: row k-1 becomes sum_i row[i] * row i, where rows k and
+            # below are unit vectors
+            new = (row[:k + 1, None] * a[:k + 1] % p).sum(axis=0)
+            new[k:m - 1] += row[k + 1:]
+            np.remainder(new, p, out=a[k - 1])
+            k -= 1
+        # rows k+1 .. m-1 of the block are unit vectors below row k, so
+        # det(x I - a[k:, k:]) = x^(m-k) - sum_i a[k, k+i] x^(m-k-1-i)
+        block = np.array([1] + [-x % p for x in a[k, k:].tolist()], dtype=object)
+        chi = np.convolve(chi, block) % p
+        m = k
+    return chi[::-1].tolist()
 
 
 def _taylor_shift(coeffs: list, c: int, p: int) -> list:

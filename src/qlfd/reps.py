@@ -209,19 +209,28 @@ class SchurVerdict:
         return {"verdict": self.value, "trials": self.trials}
 
 
-def is_schur_root(q: Quiver, d, trials: int, field, rng) -> SchurVerdict:
+def is_schur_root(q: Quiver, d, trials: int, field, rng, saito=None) -> SchurVerdict:
     """One-sided probabilistic Schur test.
 
     Bricks form an open subset of the representation space, so a single
     sampled brick is a proof; absence is never certified and the verdict
     degrades to 'inconclusive' after the trial budget.
+
+    Each sample x is tested with is_brick, or, when the Saito matrix of
+    (q, d) is given (d sincere on a connected quiver with q(d) = 1), by
+    det M(x) != 0. The rows of M(x) are the images A.x of a basis of
+    gl(d) without one diagonal unit; the identity lies in End(x), so that
+    unit's image is minus the sum of the other diagonal units' images, and
+    rank M(x) = sum d_i^2 - dim End(x). M(x) has sum d_i^2 - 1 rows, so x is
+    a brick exactly when det M(x) != 0. Both tests see the same draws.
     """
     d = check_dim(q, d)
     if not is_positive(d):
         raise QuiverInputError("Schur test needs a positive dimension vector")
     for t in range(1, trials + 1):
         rep = sample_representation(q, d, field, rng)
-        if is_brick(rep):
+        if (is_brick(rep) if saito is None
+                else saito.det_at(coords_from_rep(rep), field) != 0):
             return SchurVerdict("yes", t, rep)
     return SchurVerdict("inconclusive", trials)
 

@@ -146,8 +146,8 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
     """Probabilistic reducedness of f via random affine lines over F_p.
 
     Each trial restricts f to x(t) = a + t b and reads off the univariate
-    polynomial in one pass (AffinePencil.det_line: a Hessenberg
-    characteristic polynomial of the pencil mod p), then tests degree-n
+    polynomial in one pass (AffinePencil.det_line: one elimination and a
+    Danilevsky characteristic polynomial mod p), then tests degree-n
     squarefreeness. The determinant has integer coefficients, so a single
     squarefree degree-n restriction is a sound certificate of reducedness.
     The verdict is not_reduced when no trial certifies, and
@@ -334,12 +334,12 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
     report["dim_rep"] = n
     report["expected_components"] = k_target
 
-    schur = is_schur_root(q, d, config.trials, field, rng)
+    saito = build_saito_matrix(q, d)
+    schur = is_schur_root(q, d, config.trials, field, rng, saito=saito)
     if schur.value != "yes":
         report["reason"] = "Schur sampling inconclusive"
         return report
     brick = schur.witness
-    saito = build_saito_matrix(q, d)
 
     from .roots import positive_real_roots
     roots = positive_real_roots(q, config.entry_bound)
@@ -584,7 +584,8 @@ def lfd_verdict(q: Quiver, d, config: Config = None) -> LfdReport:
 
     Checks, in order: positivity, support restriction for non-sincere d,
     connectedness, the tree obstruction, q_Q(d) = 1 (squareness of the
-    Saito matrix), the probabilistic Schur test, and probabilistic
+    Saito matrix), the probabilistic Schur test (a sampled x is a brick
+    exactly when det M(x) != 0, see is_schur_root), and probabilistic
     reducedness of the Saito determinant. The minimal-degeneration
     condition is discharged through reducedness of f, never enumerated;
     reports record that method.
@@ -619,12 +620,12 @@ def lfd_verdict(q: Quiver, d, config: Config = None) -> LfdReport:
                          provenance=prov)
     field = config.field()
     rng = config.rng()
-    schur = is_schur_root(q, d, config.trials, field, rng)
+    s = build_saito_matrix(q, d)
+    schur = is_schur_root(q, d, config.trials, field, rng, saito=s)
     if schur.value != "yes":
         return LfdReport("inconclusive", q_value=qval, dim_rep=n, schur=schur,
                          reasons=("Schur sampling found no brick",),
                          method=tuple(method), provenance=prov)
-    s = build_saito_matrix(q, d)
     red = reducedness_test(s, trials=config.trials, primes=(config.prime,),
                            seed=config.seed)
     method.append("reducedness_via_random_line_restriction")

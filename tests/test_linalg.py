@@ -12,7 +12,7 @@ from qlfd import (ExactMatrix, GF, QQ, UnivariatePoly, build_saito_matrix,
                   interpolate, reducedness_test)
 from qlfd.config import Config
 from qlfd.errors import PrimeTooSmall
-from qlfd.matrix import AffinePencil, _gf_det
+from qlfd.matrix import AffinePencil, _gf_charpoly, _gf_det
 from qlfd.quiver import euler_form
 from qlfd.reps import sample_representation
 from qlfd.roots import positive_real_roots
@@ -132,6 +132,13 @@ def test_entries_exact_beyond_int64():
         ExactMatrix(QQ, [[1, 2], [3]])
 
 
+def test_q_entries_pass_fractions_through():
+    half = Fraction(1, 2)
+    m = ExactMatrix(QQ, np.array([[half, 3]], dtype=object))
+    assert m.a[0, 0] is half  # kept, not rebuilt
+    assert type(m.a[0, 1]) is Fraction and m.a[0, 1] == 3
+
+
 # -- differential tests of the array kernels -----------------------------------------
 
 entries = st.integers(min_value=-9, max_value=9) | st.integers(min_value=-2**70,
@@ -236,6 +243,73 @@ def test_pencil_det_at_many_points(which, field):
     if which == "saito":
         assert values[2] == 0  # f vanishes at the origin
     assert pencil.det(np.zeros((0, k), dtype=np.int64), field) == []
+
+
+
+# -- the characteristic polynomial -------------------------------------------------
+
+
+@st.composite
+def charpoly_inputs(draw):
+    """(h, p): an n x n matrix mod p, n <= 8, of a kind that makes Danilevsky's
+    method swap rows and columns or split off companion blocks."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    p = draw(st.sampled_from([3, 7, 101, 2**31 - 1]))
+    entry = st.integers(min_value=0, max_value=p - 1)
+
+    def matrix(size, entries):
+        return np.array(draw(st.lists(entries, min_size=size * size,
+                                      max_size=size * size)),
+                        dtype=np.int64).reshape(size, size)
+
+    kind = draw(st.sampled_from(["zero", "scalar", "shift", "blocks",
+                                 "permutation", "sparse", "dense"]))
+    perm = draw(st.permutations(range(n)))
+    if kind == "zero":
+        h = np.zeros((n, n), dtype=np.int64)
+    elif kind == "scalar":
+        h = draw(entry) * np.eye(n, dtype=np.int64)
+    elif kind == "shift":
+        h = np.eye(n, k=draw(st.sampled_from([1, -1])), dtype=np.int64)
+    elif kind == "blocks":
+        # one block repeated down the diagonal, conjugated by a permutation
+        size = draw(st.integers(min_value=1, max_value=3))
+        block = matrix(size, entry)
+        h = np.diag(np.array(draw(st.lists(entry, min_size=n, max_size=n)),
+                             dtype=np.int64).reshape(n))
+        for i in range(0, n - size + 1, size):
+            h[i:i + size, i:i + size] = block
+        h = h[perm][:, perm]
+    elif kind == "permutation":
+        h = np.eye(n, dtype=np.int64)[perm]
+    elif kind == "sparse":
+        h = matrix(n, st.sampled_from([0, 0, 0]) | entry)
+    else:
+        h = matrix(n, entry)
+    return h, p
+
+
+def _charpoly_by_interpolation(h, p):
+    """det(x I - h) mod p through n + 1 determinants: over F_p when p > n,
+    else over Q on the integer lift of h, reduced mod p afterwards (the
+    coefficients are integer polynomials in the entries)."""
+    n = h.shape[0]
+    nodes = range(n + 1)
+    shifted = [x * np.eye(n, dtype=np.int64) - h for x in nodes]
+    if p > n:
+        vals = _gf_det(np.array(shifted, dtype=np.int64).reshape(n + 1, n, n), p)
+        return interpolate(GF(p), zip(nodes, vals.tolist())).coeffs
+    vals = [ExactMatrix(QQ, m).det() for m in shifted]
+    return [int(c) % p for c in interpolate(QQ, zip(nodes, vals)).coeffs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=charpoly_inputs())
+def test_charpoly_matches_interpolation(case):
+    h, p = case
+    before = h.copy()
+    assert _gf_charpoly(h, p) == _charpoly_by_interpolation(h, p)
+    assert np.array_equal(h, before)  # the input is left as it was
 
 
 # -- det along a line --------------------------------------------------------------

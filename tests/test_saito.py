@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlfd import (GF, Quiver, build_saito_matrix, component_degree, component_degrees_report, degree_sum_check,
                   euler_form, euler_homogeneity_witness, evaluate_f,
@@ -10,13 +11,16 @@ from qlfd import (GF, Quiver, build_saito_matrix, component_degree, component_de
                   relative_invariant_det, sample_representation,
                   single_coordinate_basis_check, stages, tits_form)
 from qlfd.config import Config
-from qlfd.errors import NonSquare, NotSincere, QuiverInputError
+from qlfd.errors import NonSquare, NotSincere, PrimeTooSmall, QuiverInputError
 from qlfd.fields import QQ
 from qlfd.matrix import AffinePencil
-from qlfd.reps import build_c_matrix, rep_from_coords
+from qlfd.quiver import rep_dimension
+from qlfd.reps import (build_c_matrix, coords_from_rep, is_brick, is_schur_root,
+                       rep_from_coords)
+from qlfd.roots import positive_real_roots
 from qlfd.saito import SaitoMatrix, invariant_pencil
 
-from conftest import a2, a3, cycle, d4_in, d4_out, kronecker
+from conftest import a2, a3, cycle, d4_in, d4_out, kronecker, random_tree_quiver
 from oracle import MultiPoly, expand_f_symbolic, product, quadratic_gram_rank
 
 F = GF(2**31 - 1)
@@ -231,11 +235,21 @@ def test_degree_probe_at_small_primes():
 
 
 def test_shared_points_are_bounded(monkeypatch):
-    # f vanishing at every sample must end the search, not loop forever
-    monkeypatch.setattr(SaitoMatrix, "det_at", lambda self, xvec, field: 0)
+    # f vanishing at every sample must end the search, not loop forever. The
+    # first call is the Schur sample, which must see the real determinant to
+    # find its brick; every shared point after it sees 0.
+    real_det_at = SaitoMatrix.det_at
+    calls = []
+
+    def det_at(self, xvec, field):
+        calls.append(xvec)
+        return real_det_at(self, xvec, field) if len(calls) == 1 else 0
+
+    monkeypatch.setattr(SaitoMatrix, "det_at", det_at)
     report = component_degrees_report(d4_in(), (1, 1, 1, 2), CFG)
     assert not report["certified"]
     assert report["reason"] == "Saito determinant nonzero at only 0 of 100 sampled points"
+    assert len(calls) == 1 + 100
 
 
 def test_relative_invariant_a2():
@@ -423,3 +437,48 @@ def test_quasihom_tube_route(e7_pair):
 def test_quasihom_parts_mismatch():
     with pytest.raises(QuiverInputError):
         quasihom_certificate(a2(), (1, 1), [(1, 0), (1, 0)], config=CFG)
+
+
+# -- the Schur test on the Saito matrix ------------------------------------------------
+
+
+def _sincere_root(rng, n_vertices, bound):
+    """A random tree quiver and a sincere positive real root on it. The
+    all-ones vector is always one: q(1, ..., 1) = #vertices - #arrows = 1."""
+    q = random_tree_quiver(rng, n_vertices)
+    roots = sorted(e for e in positive_real_roots(q, bound) if all(e))
+    return q, rng.choice(roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       p=st.sampled_from([3, 5, 2**31 - 1]))
+def test_brick_iff_saito_det_nonzero(seed, p):
+    # rank M(x) = sum d_i^2 - dim End(x), so x is a brick iff det M(x) != 0
+    rng = random.Random(seed)
+    q, d = _sincere_root(rng, rng.randint(2, 5), 3)
+    s = build_saito_matrix(q, d)
+    field = GF(p)
+    for _ in range(8):
+        rep = sample_representation(q, d, field, rng)
+        assert is_brick(rep) == (s.det_at(coords_from_rep(rep), field) != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       trials=st.integers(min_value=1, max_value=4))
+def test_schur_trials_match_brick_loop_at_p3(seed, trials):
+    rng = random.Random(seed)
+    q, d = _sincere_root(rng, rng.randint(2, 4), 2)
+    config = Config(prime=3, seed=seed, trials=trials)
+    field = config.field()
+    ref = is_schur_root(q, d, trials, field, config.rng())  # the is_brick loop
+    via_saito = is_schur_root(q, d, trials, field, config.rng(),
+                              saito=build_saito_matrix(q, d))
+    assert via_saito == ref  # same verdict, trials and witness
+    if ref.value == "yes" and rep_dimension(q, d) >= 3:
+        # past the Schur stage, reducedness needs p > dim Rep
+        with pytest.raises(PrimeTooSmall):
+            lfd_verdict(q, d, config)
+    else:
+        assert lfd_verdict(q, d, config).schur == ref
