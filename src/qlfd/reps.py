@@ -250,8 +250,9 @@ def perp_candidates(q: Quiver, d, entry_bound: int, trials: int, field, rng,
     to d on the matching side, and a sampled generic representation of
     dimension e must have Hom = Ext = 0 against a sampled generic brick of
     dimension d: the c-matrix between them is square by orthogonality, so
-    this is a nonzero determinant. Candidates are not certified simple;
-    downstream degree-sum checks act as the filter.
+    this is a nonzero determinant, which proves the relative invariant c^e
+    of Rep(q, d) nonzero. Candidates are not certified simple; the degrees
+    report certifies a subset of them by an exact sum of their characters.
     """
     from .roots import positive_real_roots
 

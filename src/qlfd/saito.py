@@ -9,9 +9,10 @@ tests reducedness probabilistically, derives component degrees from
 characters against the stage grading, and issues homogeneity certificates.
 
 f is only defined up to a nonzero scalar (any complement of the scalars in
-the product of general linear algebras works), so every comparison between
-f and products of relative invariants is an up-to-unit test at random
-points, never coefficient-exact.
+the product of general linear algebras works). Component degrees never
+compare f with products of relative invariants as polynomials: f and each
+invariant are semi-invariants, fixed up to a scalar by their characters, so
+a product is certified against f by an exact sum of integer characters.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .quiver import (Quiver, check_dim, classify_graph, euler_form,
                      rep_dimension, stages, support_pair, tits_form,
                      topological_order)
 from .reps import (Representation, c_pencil, coord_offsets, coords_from_rep,
-                   hom_ext, is_schur_root, perp_candidates,
-                   sample_representation)
+                   hom_ext, is_schur_root, perp_candidates)
 
 
 # -- the Saito matrix ------------------------------------------------------------------
@@ -189,13 +189,28 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
 # -- relative invariants and component degrees ----------------------------------------
 
 
-def component_degree(q: Quiver, d, m, side: str) -> int:
-    """Degree of the relative invariant attached to an orthogonal vector m.
+def _weights(q: Quiver, d, vectors, side: str):
+    """Characters and degrees of the relative invariants c^m, one row per m.
 
     The character is E m (right side) or -E^t m (left side); pairing it
     against the stage grading h (normalized to min 0) through the dimension
-    vector gives the degree: sum_i h(i) d_i chi_i. Shift-invariance of the
-    grading is exactly the orthogonality precondition.
+    vector gives the degree: sum_i h(i) d_i chi_i.
+    """
+    e = np.array(euler_matrix(q), dtype=np.int64)
+    m = np.array(vectors, dtype=np.int64).reshape(len(vectors), q.n_vertices)
+    chi = m @ e.T if side == "right" else -(m @ e)
+    h = stages(q).h
+    grading = np.array([h[v] * d[i] for i, v in enumerate(q.vertices)],
+                       dtype=np.int64)
+    return chi, chi @ grading
+
+
+def component_degree(q: Quiver, d, m, side: str) -> int:
+    """Degree of the relative invariant attached to an orthogonal vector m.
+
+    Its character paired with the stage grading through d (see _weights).
+    Shift-invariance of the grading is exactly the orthogonality
+    precondition.
     """
     d = check_dim(q, d)
     m = check_dim(q, m)
@@ -209,14 +224,7 @@ def component_degree(q: Quiver, d, m, side: str) -> int:
             raise QuiverInputError("<m, d> must vanish for a left invariant")
     else:
         raise QuiverInputError("side must be 'left' or 'right'")
-    e = euler_matrix(q)
-    nv = q.n_vertices
-    if side == "right":
-        chi = [sum(e[i][j] * m[j] for j in range(nv)) for i in range(nv)]
-    else:
-        chi = [-sum(e[j][i] * m[j] for j in range(nv)) for i in range(nv)]
-    h = stages(q).h
-    return sum(h[v] * d[i] * chi[i] for i, v in enumerate(q.vertices))
+    return int(_weights(q, d, [m], side)[1][0])
 
 
 def invariant_pencil(q: Quiver, d, m_rep: Representation, side: str):
@@ -253,68 +261,54 @@ def relative_invariant_det(q: Quiver, d, m_rep: Representation, side: str):
     return evaluator
 
 
-def _degree_matches(pencil, n, expected, field, rng) -> bool:
-    """Line-restriction degree probe in the n coordinates of the point: the
-    determinant restricted to a random line, read off exactly by
-    AffinePencil.det_line, must have degree exactly `expected`. Fails when
-    the restriction vanishes at every anchor det_line tries."""
-    p = field.p
-    a = [rng.randrange(p) for _ in range(n)]
-    b = [rng.randrange(p) for _ in range(n)]
-    coeffs = pencil.det_line(a, b, field)
-    return coeffs is not None and UnivariatePoly(field, coeffs).degree == expected
-
-
-# Subsets are certified at this many shared points where f is nonzero, drawn
-# from at most _SHARED_POINT_DRAWS uniform points.
-_SHARED_POINTS = 4
-_SHARED_POINT_DRAWS = 100
-
-
 def degree_sum_check(degrees, subset_size: int, target: int, limit: int = 100000):
-    """Index subsets of the given size whose degrees sum to the target."""
+    """Index subsets of the given size whose degrees sum to the target.
+
+    Depth-first over the degrees in descending order, taking each before
+    skipping it; an explicit stack keeps long candidate lists clear of the
+    recursion limit. At most `limit` subsets are returned.
+    """
     order = sorted(range(len(degrees)), key=lambda i: -degrees[i])
     vals = [degrees[i] for i in order]
     n = len(vals)
-    suffix_max = [0] * (n + 1)
+    suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + vals[i]
+        suffix[i] = suffix[i + 1] + vals[i]
     out = []
-
-    def rec(i, chosen, acc):
-        if len(out) >= limit:
-            return
-        if len(chosen) == subset_size:
+    stack = [(0, (), 0)]
+    while stack and len(out) < limit:
+        i, chosen, acc = stack.pop()
+        need = subset_size - len(chosen)
+        if need == 0:
             if acc == target:
                 out.append(tuple(sorted(order[j] for j in chosen)))
-            return
-        if i >= n:
-            return
-        need = subset_size - len(chosen)
-        if n - i < need:
-            return
-        if acc + suffix_max[i] < target:
-            return
-        # smallest achievable: take the `need` smallest remaining (tail of vals)
-        if acc + sum(vals[n - need:]) > target:
-            return
-        rec(i + 1, chosen + [i], acc + vals[i])
-        rec(i + 1, chosen, acc)
-
-    rec(0, [], 0)
+            continue
+        # the `need` largest and the `need` smallest remaining values bound
+        # every completion
+        if (n - i < need or acc + suffix[i] - suffix[i + need] < target
+                or acc + suffix[n - need] > target):
+            continue
+        stack.append((i + 1, chosen, acc))
+        stack.append((i + 1, chosen + (i,), acc + vals[i]))
     return out
 
 
 def component_degrees_report(q: Quiver, d, config: Config) -> dict:
     """Certified component degrees of the discriminant of (q, d).
 
-    Pipeline: enumerate orthogonal real-root candidates, attach degrees via
-    the character/stage formula, sample a generic representation per
-    candidate (validated by a line-restriction degree probe), then search
-    (#vertices - 1)-subsets whose degrees sum to dim Rep and certify a
-    subset by comparing the product of its relative invariants against the
-    Saito determinant at shared random points, up to a unit. Non-unique
-    certified degree multisets are flagged.
+    Pipeline: sample a brick x of dimension d (so f(x) != 0 and Rep(q, d)
+    is prehomogeneous), enumerate orthogonal real-root candidates e, each
+    with a nonzero relative invariant c^e (perp_candidates), and attach
+    to each its character chi_e and degree (_weights). Then search
+    (#vertices - 1)-subsets whose degrees sum to dim Rep, and certify a
+    subset exactly when its characters sum to chi_f = (E - E^t) d, the
+    character of the Saito determinant f. The semi-invariants of one
+    character on a prehomogeneous space span at most one dimension (Sato
+    and Kimura 1977), so the product of the subset's invariants is a
+    nonzero multiple of f. Distinct candidates have distinct characters,
+    since det E = 1, and positive degrees, since a nonzero semi-invariant
+    of nonzero character is a nonconstant homogeneous polynomial.
+    Non-unique certified degree multisets are flagged.
     """
     d = check_dim(q, d)
     report = {"certified": False, "provenance": config.provenance()}
@@ -339,73 +333,31 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
     if schur.value != "yes":
         report["reason"] = "Schur sampling inconclusive"
         return report
-    brick = schur.witness
 
     from .roots import positive_real_roots
     roots = positive_real_roots(q, config.entry_bound)
     cands = perp_candidates(q, d, config.entry_bound, config.trials, field, rng,
-                            roots=roots, brick=brick)
-
-    # Shared evaluation points with f nonzero.
-    pts, fvals = [], []
-    for _ in range(_SHARED_POINT_DRAWS):
-        xvec = [rng.randrange(field.p) for _ in range(n)]
-        value = saito.det_at(xvec, field)
-        if value != 0:
-            pts.append(xvec)
-            fvals.append(value)
-            if len(pts) == _SHARED_POINTS:
-                break
-    else:
-        report["reason"] = (f"Saito determinant nonzero at only {len(pts)} "
-                            f"of {_SHARED_POINT_DRAWS} sampled points")
-        return report
+                            roots=roots, brick=schur.witness)
+    e = np.array(euler_matrix(q), dtype=np.int64)
+    chi_f = (e - e.T) @ np.array(d, dtype=np.int64)
 
     for side in ("left", "right"):
-        scored = []
-        for c in cands:
-            if c.side != side:
-                continue
-            try:
-                deg = component_degree(q, d, c.vector, side)
-            except QuiverInputError:
-                continue
-            if deg <= 0:
-                continue
-            for _ in range(3):
-                m_rep = sample_representation(q, c.vector, field, rng)
-                pencil = invariant_pencil(q, d, m_rep, side)
-                if _degree_matches(pencil, n, deg, field, rng):
-                    scored.append({"vector": c.vector, "degree": deg,
-                                   "values": pencil.det(pts, field)})
-                    break
-        if len(scored) < k_target:
-            continue
-        subsets = degree_sum_check([s["degree"] for s in scored], k_target, n)
-        certified = []
-        for ss in subsets:
-            prods = [1] * len(pts)
-            for i in ss:
-                vals = scored[i]["values"]
-                for j in range(len(pts)):
-                    prods[j] = prods[j] * vals[j] % field.p
-            if any(v == 0 for v in prods):
-                continue
-            if all(fvals[0] * prods[j] % field.p == fvals[j] * prods[0] % field.p
-                   for j in range(1, len(pts))):
-                certified.append(ss)
+        vectors = [c.vector for c in cands if c.side == side]
+        chi, degrees = _weights(q, d, vectors, side)
+        degrees = degrees.tolist()
+        certified = [ss for ss in degree_sum_check(degrees, k_target, n)
+                     if (chi[list(ss)].sum(axis=0) == chi_f).all()]
         if certified:
-            multisets = {tuple(sorted(scored[i]["degree"] for i in ss))
-                         for ss in certified}
+            multisets = {tuple(sorted(degrees[i] for i in ss)) for ss in certified}
             first = certified[0]
             report.update({
                 "certified": True,
                 "side": side,
-                "degrees": sorted(scored[i]["degree"] for i in first),
-                "vectors": [list(scored[i]["vector"]) for i in first],
+                "degrees": sorted(degrees[i] for i in first),
+                "vectors": [list(vectors[i]) for i in first],
                 "subsets_certified": len(certified),
                 "unique_multiset": len(multisets) == 1,
-                "candidates_considered": len(scored),
+                "candidates_considered": len(vectors),
             })
             return report
     report["reason"] = "no subset of candidate degrees certified against f"

@@ -84,6 +84,21 @@ def test_degrees_d4(capsys):
     assert report["degrees"] == [2, 2, 2]
 
 
+def test_degrees_wild_star_with_many_candidates(tmp_path, capsys):
+    # f = x1 ... x5 on a five-arm star; the subset search walks 1,038 scored
+    # candidates, more than the interpreter's recursion limit has frames
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps({
+        "vertices": ["1", "2", "3", "4", "5", "6"],
+        "arrows": [["6", "1"], ["6", "2"], ["3", "6"], ["6", "4"], ["5", "6"]],
+        "dim": {v: 1 for v in "123456"}}))
+    code, report = run(capsys, "degrees", str(star))
+    assert code == 0
+    assert report["certified"] is True
+    assert report["candidates_considered"] == 1038
+    assert report["degrees"] == [1, 1, 1, 1, 1]
+
+
 def test_reflect_and_normal_form(capsys):
     code, report = run(capsys, "reflect", path("a2.json"), "1")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlfd import (GF, Quiver, build_saito_matrix, component_degree, component_degrees_report, degree_sum_check,
                   euler_form, euler_homogeneity_witness, evaluate_f,
-                  find_tubes, lfd_verdict,
+                  find_tubes, lfd_verdict, quiver_from_json,
                   quasihom_certificate, reducedness_test,
                   relative_invariant_det, sample_representation,
                   single_coordinate_basis_check, stages, tits_form)
@@ -14,13 +15,14 @@ from qlfd.config import Config
 from qlfd.errors import NonSquare, NotSincere, PrimeTooSmall, QuiverInputError
 from qlfd.fields import QQ
 from qlfd.matrix import AffinePencil
-from qlfd.quiver import rep_dimension
+from qlfd.quiver import euler_matrix, rep_dimension
 from qlfd.reps import (build_c_matrix, coords_from_rep, is_brick, is_schur_root,
                        rep_from_coords)
 from qlfd.roots import positive_real_roots
 from qlfd.saito import SaitoMatrix, invariant_pencil
 
-from conftest import a2, a3, cycle, d4_in, d4_out, kronecker, random_tree_quiver
+from conftest import (E7_JSON, a2, a3, cycle, d4_in, d4_out, kronecker,
+                      random_tree_quiver)
 from oracle import MultiPoly, expand_f_symbolic, product, quadratic_gram_rank
 
 F = GF(2**31 - 1)
@@ -216,6 +218,14 @@ def test_degree_sum_check():
     assert degree_sum_check([2, 2, 2], 3, 7) == []
 
 
+def test_degree_sum_check_beyond_recursion_limit():
+    # more candidates than the interpreter's recursion limit has frames
+    n = sys.getrecursionlimit() + 10
+    assert degree_sum_check([1] * n, 1, 1) == [(i,) for i in range(n)]
+    assert degree_sum_check([1] * n, 1, 1, limit=5) == [(i,) for i in range(5)]
+    assert degree_sum_check([2] * n + [1], 2, 3) == [(i, n) for i in range(n)]
+
+
 def test_component_degrees_d4():
     report = component_degrees_report(d4_in(), (1, 1, 1, 2), CFG)
     assert report["certified"]
@@ -224,32 +234,35 @@ def test_component_degrees_d4():
     assert report["unique_multiset"]
 
 
-def test_degree_probe_at_small_primes():
-    # A4, d = (1, 1, 1, 1): f = x1 x2 x3. The probe reads the restriction's
-    # coefficients exactly, so it needs no nodes distinct mod p and certifies
-    # the three degree-1 components even at p = 3
+def test_degrees_at_small_primes():
+    # A4, d = (1, 1, 1, 1): f = x1 x2 x3. Characters are exact integers, so
+    # the three degree-1 components are certified even at p = 3
     q = Quiver(("1", "2", "3", "4"), (("1", "2"), ("2", "3"), ("3", "4")))
     for prime in (3, 5):
         report = component_degrees_report(q, (1, 1, 1, 1), Config(prime=prime))
         assert report["certified"] and report["degrees"] == [1, 1, 1]
 
 
-def test_shared_points_are_bounded(monkeypatch):
-    # f vanishing at every sample must end the search, not loop forever. The
-    # first call is the Schur sample, which must see the real determinant to
-    # find its brick; every shared point after it sees 0.
-    real_det_at = SaitoMatrix.det_at
-    calls = []
-
-    def det_at(self, xvec, field):
-        calls.append(xvec)
-        return real_det_at(self, xvec, field) if len(calls) == 1 else 0
-
-    monkeypatch.setattr(SaitoMatrix, "det_at", det_at)
-    report = component_degrees_report(d4_in(), (1, 1, 1, 2), CFG)
-    assert not report["certified"]
-    assert report["reason"] == "Saito determinant nonzero at only 0 of 100 sampled points"
-    assert len(calls) == 1 + 100
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n_vertices=st.integers(min_value=1, max_value=8), data=st.data())
+def test_weight_of_f_pairs_to_dim_rep(seed, n_vertices, data):
+    # The identity the degree certificate rests on: the character of f,
+    # chi_f(i) = sum_{j->i} d_j - sum_{i->j} d_j = ((E - E^t) d)_i, paired
+    # with the stage grading through d gives deg f = dim Rep(d).
+    q = random_tree_quiver(random.Random(seed), n_vertices)
+    d = data.draw(st.lists(st.integers(min_value=1, max_value=5),
+                           min_size=n_vertices, max_size=n_vertices))
+    chi_f = [0] * n_vertices
+    for src, tgt in q.arrow_indices():
+        chi_f[tgt] += d[src]
+        chi_f[src] -= d[tgt]
+    e = euler_matrix(q)
+    assert chi_f == [sum((e[i][j] - e[j][i]) * d[j] for j in range(n_vertices))
+                     for i in range(n_vertices)]
+    h = stages(q).h
+    assert (sum(h[v] * d[i] * chi_f[i] for i, v in enumerate(q.vertices))
+            == rep_dimension(q, d))
 
 
 def test_relative_invariant_a2():
@@ -269,34 +282,43 @@ def test_relative_invariant_nonsquare():
         relative_invariant_det(a2(), (1, 1), sink_simple, "left")
 
 
-def test_relative_invariant_product_matches_f():
-    # product of the three minor invariants of D4 agrees with f up to a unit
-    rng = random.Random(3)
-    q = d4_in()
-    d = (1, 1, 1, 2)
-    s = build_saito_matrix(q, d)
+PRODUCT_CASES = {
+    "d4": lambda: (d4_in(), (1, 1, 1, 2)),
+    "e7": lambda: quiver_from_json(E7_JSON),
+    # q = 1 pairs on random trees: D5, E6, and a tame D~5 and a wild tree
+    # whose f is not reduced; the character identity holds all the same
+    "tree-0-5": lambda: _sincere_root(random.Random(0), 5, 3),
+    "tree-8-6": lambda: _sincere_root(random.Random(8), 6, 3),
+    "tree-2-6": lambda: _sincere_root(random.Random(2), 6, 3),
+    "tree-0-6": lambda: _sincere_root(random.Random(0), 6, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_relative_invariant_product_matches_f(case):
+    # The degrees report certifies its vectors by characters alone; their
+    # invariants, sampled afresh at a second prime, multiply to f up to a
+    # unit at fresh points.
+    q, d = PRODUCT_CASES[case]()
     report = component_degrees_report(q, d, CFG)
-    evs = []
-    for vec in report["vectors"]:
-        for _ in range(5):
-            m = sample_representation(q, tuple(vec), F, rng)
-            try:
-                ev = relative_invariant_det(q, d, m, report["side"])
-                evs.append(ev)
-                break
-            except NonSquare:
-                continue
+    assert report["certified"]
+    field = GF(2147483629)
+    rng = random.Random(3)
+    evs = [relative_invariant_det(q, d, sample_representation(q, tuple(m), field, rng),
+                                  report["side"])
+           for m in report["vectors"]]
+    s = build_saito_matrix(q, d)
+    n = rep_dimension(q, d)
     units = set()
     for _ in range(4):
-        coords = [rng.randrange(F.p) for _ in range(6)]
-        point = rep_from_coords(q, d, coords, F)
-        fx = s.det_at(coords, F)
+        coords = [rng.randrange(field.p) for _ in range(n)]
+        point = rep_from_coords(q, d, coords, field)
+        fx = s.det_at(coords, field)
         px = 1
         for ev in evs:
-            px = px * ev(point) % F.p
-        if fx == 0 or px == 0:
-            continue
-        units.add(px * pow(fx, F.p - 2, F.p) % F.p)
+            px = px * ev(point) % field.p
+        assert fx != 0 and px != 0
+        units.add(px * pow(fx, -1, field.p) % field.p)
     assert len(units) == 1
 
 
