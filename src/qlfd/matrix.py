@@ -3,16 +3,10 @@ matrices affine in a coordinate vector.
 
 A matrix is one numpy array: int64 entries in [0, p) over F_p, Fraction
 objects over Q. Every product of two residues stays below 2^62 for any
-modulus < 2^31, so the F_p kernels are exact in int64. Rank and nullspace
-come from one Gauss-Jordan elimination for both fields; the determinant is
-fraction-free (Bareiss) over Q and Gaussian elimination mod p over F_p.
-
-The F_p determinant is one kernel on a (B, n, n) stack: each column step
-runs the same few numpy operations on all B members, so B determinants cost
-little more than one when n is small, and one determinant is the B = 1
-case. A member without a pivot in some column has determinant 0, and the
-rest of the stack carries on. AffinePencil.det evaluates a pencil at B
-points through the stack.
+modulus < 2^31, so the F_p kernels are exact in int64. One Gauss-Jordan
+elimination, _rref, serves both fields: rank and nullspace read its pivot
+columns, and the determinant is its scale, the product of the pivots with
+the sign of the row swaps, when every column has a pivot.
 
 AffinePencil.det_line turns the determinant of an n x n pencil along a
 line into its polynomial over F_p in one O(n^3) pass: one Gauss-Jordan
@@ -23,7 +17,6 @@ is moved along the line at most min(n + 1, p) times.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -152,12 +145,7 @@ class ExactMatrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if self.nrows == 0:
-            return self.field.one
-        p = _modulus(self.field)
-        if p is not None:
-            return int(_gf_det(self.a[None], p)[0])
-        return _bareiss_det_q(self.a.tolist())
+        return _det(self.a.copy(), _modulus(self.field))
 
 
 class AffinePencil:
@@ -189,17 +177,8 @@ class AffinePencil:
         return m if p is None else m % p
 
     def det(self, x, field):
-        """det M(x) at one point x; for a (B, k) array of points, the list of
-        the B values, which over F_p come from one stacked elimination."""
-        stacked = np.ndim(x) == 2
-        ms = [self.at(xi, field) for xi in x] if stacked else [self.at(x, field)]
-        p = _modulus(field)
-        if p is None:
-            vals = [ExactMatrix(field, m).det() for m in ms]
-        else:
-            vals = _gf_det(np.array(ms, dtype=np.int64).reshape(len(ms), *self.shape),
-                           p).tolist()
-        return vals if stacked else vals[0]
+        """det M(x) at the point x."""
+        return _det(self.at(x, field), _modulus(field))
 
     def det_line(self, a, b, field):
         """Coefficients, low to high, of t -> det M(a + t b) over F_p, or None.
@@ -227,74 +206,7 @@ class AffinePencil:
         return None
 
 
-def _bareiss_det_q(rows) -> Fraction:
-    """Fraction-free determinant: scale rows to integers, run Bareiss."""
-    n = len(rows)
-    scale = Fraction(1)
-    m = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row)) if row else 1
-        scale *= den
-        m.append([int(x * den) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pr is None:
-                return Fraction(0)
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1]) / scale
-
-
-# -- F_p kernels on int64 arrays ---------------------------------------------
-
-
-def _gf_det(a: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a (B, n, n) stack, as an int64 array of B residues.
-
-    Gaussian elimination on every member at once. Column c takes each
-    member's first nonzero entry at or below the diagonal as its pivot; a
-    member that has none is singular: its pivot stays 0, its inverse is taken
-    as 0, so the member is left as it is and its determinant is 0. A residue
-    minus a product of two residues lies in (-2^62, p), so one reduction per
-    update keeps int64 exact.
-    """
-    a = np.asarray(a, dtype=np.int64) % p
-    b, n, _ = a.shape
-    for c in range(n):
-        piv = a[:, c, c]  # a view: it sees the row swaps below
-        if not piv.all():
-            below = (a[:, c:, c] != 0).argmax(axis=1)
-            k = np.flatnonzero(below)
-            r = c + below[k]
-            # swap rows c and r and negate the new row c: det is unchanged
-            a[k, c], a[k, r] = -a[k, r] % p, a[k, c].copy()
-            if not piv.any():
-                return np.zeros(b, dtype=np.int64)
-        if c + 1 < n:
-            inv = np.array([pow(x, -1, p) if x else 0 for x in piv.tolist()],
-                           dtype=np.int64)
-            factors = a[:, c + 1:, c] * inv[:, None] % p
-            rest = a[:, c + 1:, c + 1:]
-            upd = factors[:, :, None] * a[:, None, c, c + 1:]
-            np.subtract(rest, upd, out=upd)
-            np.remainder(upd, p, out=rest)
-    # the matrices are now upper triangular up to the entries below the
-    # diagonal, which no later step reads: det is the product of the diagonal
-    dets = []
-    for diag in np.diagonal(a, axis1=1, axis2=2).tolist():
-        det = 1
-        for x in diag:
-            det = det * x % p
-        dets.append(det)
-    return np.array(dets, dtype=np.int64)
+# -- array kernels -----------------------------------------------------------
 
 
 def _rref(a: np.ndarray, p=None):
@@ -338,6 +250,15 @@ def _rref(a: np.ndarray, p=None):
             a[mask, c:] = upd if p is None else upd % p
         piv.append(c)
     return a, piv, scale
+
+
+def _det(a: np.ndarray, p=None):
+    """Determinant of a square array of canonical entries, mod p or over Q
+    when p is None: the scale of _rref when every column has a pivot (1 for
+    a 0 x 0 array), else 0. Eliminates a in place."""
+    _, piv, scale = _rref(a, p)
+    det = scale if len(piv) == a.shape[1] else 0
+    return det if p is not None else Fraction(det)
 
 
 def _gf_charpoly(h: np.ndarray, p: int) -> list:

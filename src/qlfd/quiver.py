@@ -65,9 +65,6 @@ class Quiver:
     def has_loop(self, v) -> bool:
         return any(s == t == v for s, t in self.arrows)
 
-    def has_loops(self) -> bool:
-        return any(s == t for s, t in self.arrows)
-
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
@@ -228,9 +225,19 @@ class GraphClass:
 
 
 def _leading_minors_positive(c_rows) -> bool:
+    """Sylvester's criterion: every leading principal minor D_k is > 0.
+
+    Gaussian elimination without row exchanges leaves D_k / D_(k-1) as the
+    k-th pivot, so the minors are all positive exactly when the pivots are,
+    and the first pivot <= 0 ends the elimination.
+    """
     n = len(c_rows)
-    c = np.array(c_rows, dtype=object).reshape(n, n)
-    return all(ExactMatrix(QQ, c[:k, :k]).det() > 0 for k in range(1, n + 1))
+    a = ExactMatrix(QQ, c_rows, shape=(n, n)).a.copy()
+    for k in range(n):
+        if a[k, k] <= 0:
+            return False
+        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k + 1:])
+    return True
 
 
 def _radical_generator(c_rows):

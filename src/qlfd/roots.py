@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CyclicQuiver, NotTame, QuiverInputError
 from .quiver import (Quiver, cartan_matrix, check_dim, classify_graph,
                      euler_form, euler_matrix, tits_form, topological_order)
@@ -75,7 +73,10 @@ def positive_real_roots(q: Quiver, bound):
     `bound` is an int or a per-vertex tuple. Found by closing the unit
     vectors at loop-free vertices (the units with q_Q = 1) under simple
     reflections inside the box; any positive real root in the box descends
-    to a unit vector through the box, so this is exhaustive.
+    to a unit vector through the box, so this is exhaustive. Only the
+    reflections that raise an entry are taken, as the reverse of a descent
+    raises one entry per step; the pairing reads the nonzero entries of the
+    Cartan row only.
     """
     n = q.n_vertices
     if isinstance(bound, int):
@@ -83,16 +84,19 @@ def positive_real_roots(q: Quiver, bound):
     else:
         box = tuple(int(b) for b in bound)
     c = cartan_matrix(q)
-    free = [j for j in range(n) if c[j][j] == 2]
-    seen = {tuple(int(i == j) for i in range(n)) for j in free if box[j] >= 1}
+    free = [(j, [(k, a) for k, a in enumerate(c[j]) if a])
+            for j in range(n) if c[j][j] == 2]
+    seen = {tuple(int(i == j) for i in range(n)) for j, _ in free if box[j] >= 1}
     frontier = list(seen)
     while frontier:
         v = frontier.pop()
-        for j in free:
-            w = _reflect(c[j], j, v)
-            if 0 <= w[j] <= box[j] and w not in seen:
-                seen.add(w)
-                frontier.append(w)
+        for j, row in free:
+            x = v[j] - sum(a * v[k] for k, a in row)
+            if v[j] < x <= box[j]:
+                w = v[:j] + (x,) + v[j + 1:]
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
     return sorted(seen)
 
 
@@ -200,16 +204,12 @@ def _tubes(q: Quiver, gc):
         raise CyclicQuiver("tube search needs an acyclic quiver")
     delta = gc.delta
     n = q.n_vertices
-    # regular simples lie below delta, so the box delta holds every one
-    grid = np.indices([b + 1 for b in delta]).reshape(n, -1).T.astype(np.int64)
-    e_mat = np.array(euler_matrix(q), dtype=np.int64)
-    qvals = np.einsum("ij,jk,ik->i", grid, e_mat, grid)
-    dvec = np.array(delta, dtype=np.int64)
-    defects = grid @ (e_mat @ dvec)  # <e, delta>; zero iff <delta, e> is (radical)
-    keep = (qvals == 1) & (defects == 0)
-    cands = {tuple(int(x) for x in row) for row in grid[keep]}
-    cands.discard(delta)
-    cands.discard((0,) * n)
+    # regular simples are real roots below delta (which is imaginary, so not
+    # among them) with <e, delta> = e . E delta = 0; that is <delta, e> = 0,
+    # as delta is radical
+    e_delta = [sum(a * x for a, x in zip(row, delta)) for row in euler_matrix(q)]
+    cands = {e for e in positive_real_roots(q, delta)
+             if sum(a * x for a, x in zip(e, e_delta)) == 0}
 
     cox = coxeter_matrix(q)
     tubes = []

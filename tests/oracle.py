@@ -2,12 +2,14 @@
 integer coefficients, the full expansion of a Saito determinant (gated to
 low dimension), and an exact Gram-rank irreducibility certificate for
 quadratics. The operation set is minimal: ring arithmetic and a memoized
-determinant expansion. Also the characteristic-polynomial reference for the
-Dynkin / tame / wild split of a quiver.
+determinant expansion. Also a fraction-free determinant over Q, independent
+of the library's elimination, and the characteristic-polynomial reference
+for the Dynkin / tame / wild split of a quiver.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,7 @@ import numpy as np
 from qlfd.fields import QQ
 from qlfd.matrix import ExactMatrix
 from qlfd.poly import interpolate
-from qlfd.quiver import _leading_minors_positive, _radical_generator, cartan_matrix
+from qlfd.quiver import _radical_generator, cartan_matrix
 
 
 class MultiPoly:
@@ -165,12 +167,42 @@ def expand_f_symbolic(s, expand_limit: int = 8) -> MultiPoly:
     return sym_det(grid)
 
 
+def bareiss_det(rows) -> Fraction:
+    """Determinant over Q of a square matrix of integers or Fractions.
+
+    The rows are scaled to integers, then eliminated fraction-free (Bareiss,
+    Math. Comp. 22, 1968): every division by the previous pivot is exact.
+    """
+    n = len(rows)
+    scale = Fraction(1)
+    m = []
+    for row in np.asarray(rows, dtype=object).tolist():
+        row = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row)) if row else 1
+        scale *= den
+        m.append([int(x * den) for x in row])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pr is None:
+                return Fraction(0)
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return Fraction(sign * m[n - 1][n - 1]) / scale if n else Fraction(1)
+
+
 def char_poly_coeff_signs(c_rows):
     """Coefficients e_k (sums of k x k principal minors) of det(tI - C)."""
     n = len(c_rows)
     c = np.array(c_rows, dtype=object).reshape(n, n)
-    pts = [(t, ExactMatrix(QQ, t * np.eye(n, dtype=np.int64) - c).det())
-           for t in range(n + 1)]
+    pts = [(t, bareiss_det(t * np.eye(n, dtype=np.int64) - c)) for t in range(n + 1)]
     p = interpolate(QQ, pts)
     coeffs = p.coeffs + [Fraction(0)] * (n + 1 - len(p.coeffs))
     # det(tI - C) = sum_k (-1)^k e_k t^(n-k)
@@ -180,12 +212,13 @@ def char_poly_coeff_signs(c_rows):
 def graph_kind_by_char_poly(q):
     """(kind, delta) of a connected quiver by the semidefiniteness test.
 
-    Dynkin when the leading minors of C are positive; tame when every e_k is
-    >= 0 (C positive semidefinite) and the radical is spanned by a positive
-    vector delta; wild otherwise.
+    Dynkin when the n leading minors of C are positive; tame when every e_k
+    is >= 0 (C positive semidefinite) and the radical is spanned by a
+    positive vector delta; wild otherwise.
     """
     c = cartan_matrix(q)
-    if _leading_minors_positive(c):
+    n = len(c)
+    if all(bareiss_det([row[:k] for row in c[:k]]) > 0 for k in range(1, n + 1)):
         return "dynkin", None
     if all(x >= 0 for x in char_poly_coeff_signs(c)):
         delta = _radical_generator(c)

@@ -5,22 +5,29 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qlfd
 from qlfd import (ExactMatrix, GF, QQ, UnivariatePoly, build_saito_matrix,
                   interpolate, reducedness_test)
 from qlfd.config import Config
 from qlfd.errors import PrimeTooSmall
-from qlfd.matrix import AffinePencil, _gf_charpoly, _gf_det
+from qlfd.matrix import AffinePencil, _gf_charpoly
 from qlfd.quiver import euler_form
 from qlfd.reps import sample_representation
 from qlfd.roots import positive_real_roots
 from qlfd.saito import invariant_pencil
 
 from conftest import a2, d4_in
+from oracle import bareiss_det
 
 F = GF(2**31 - 1)
+
+
+def _oracle_det(rows, field):
+    """det of a square matrix of canonical entries by the test oracle."""
+    det = bareiss_det(rows)
+    return det if field is QQ else int(det) % field.p
 
 
 def test_identity_rank_det():
@@ -80,6 +87,7 @@ def test_det_under_permutation(field):
         sign = _perm_sign(rows) * _perm_sign(cols)
         lhs = m.det()
         rhs = shuffled.det()
+        assert lhs == _oracle_det(m.a, field)
         if field is QQ:
             assert lhs == sign * rhs
         else:
@@ -102,9 +110,10 @@ def _perm_sign(perm):
 
 
 def test_bareiss_matches_fraction_entries():
-    m = ExactMatrix(QQ, [[Fraction(1, 2), Fraction(1, 3)],
-                         [Fraction(1, 5), Fraction(1, 7)]])
-    assert m.det() == Fraction(1, 2) * Fraction(1, 7) - Fraction(1, 3) * Fraction(1, 5)
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
+    expected = Fraction(1, 2) * Fraction(1, 7) - Fraction(1, 3) * Fraction(1, 5)
+    assert bareiss_det(rows) == expected
+    assert ExactMatrix(QQ, rows).det() == expected
 
 
 def test_fp_products_exact_at_large_prime():
@@ -127,6 +136,7 @@ def test_entries_exact_beyond_int64():
     assert m.a.dtype.name == "int64"
     q = ExactMatrix(QQ, [["1/2", 2**70], [-2**70, 3]])
     assert q.rows == [[Fraction(1, 2), Fraction(2**70)], [Fraction(-2**70), Fraction(3)]]
+    assert bareiss_det(q.a) == Fraction(3, 2) + 2**140
     assert q.det() == Fraction(3, 2) + 2**140
     with pytest.raises(ValueError):
         ExactMatrix(QQ, [[1, 2], [3]])
@@ -155,7 +165,7 @@ def int_matrices(draw, square=False):
 
 @given(rows=int_matrices(square=True), p=st.sampled_from([101, 2**31 - 1]))
 def test_fp_det_matches_bareiss(rows, p):
-    q_det = ExactMatrix(QQ, rows).det()
+    q_det = bareiss_det(rows)
     assert q_det.denominator == 1
     assert ExactMatrix(GF(p), rows).det() == int(q_det) % p
 
@@ -176,44 +186,48 @@ def test_rref_idempotent(rows, field):
     assert again == r and piv_again == piv
 
 
-# -- the stacked F_p determinant -------------------------------------------------------
+# -- the determinant against the oracle ---------------------------------------------
 
 
 @st.composite
-def det_stacks(draw):
-    """A (B, n, n) stack, B <= 6 and n <= 8, mixing random members with ones
-    that have a zero column, a repeated row, or a first pivot that is found
-    only below the diagonal."""
+def det_matrices(draw):
+    """An n x n integer matrix, n <= 8: random, or one with a zero column, a
+    repeated row, or a first pivot that is found only below the diagonal."""
     n = draw(st.integers(min_value=0, max_value=8))
-    b = draw(st.integers(min_value=1, max_value=6))
     small = st.integers(min_value=-3, max_value=3)
     index = st.integers(min_value=0, max_value=max(n - 1, 0))
-    stack = np.array(draw(st.lists(small, min_size=b * n * n, max_size=b * n * n)),
-                     dtype=np.int64).reshape(b, n, n)
-    for m in stack:
-        kind = draw(st.sampled_from(["random", "zero column", "repeated row",
-                                     "pivot below"]))
-        if n == 0 or kind == "random":
-            continue
-        if kind == "zero column":
-            m[:, draw(index)] = 0
-        elif kind == "repeated row" and n > 1:
-            i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
-            m[j] = m[i]
-        elif kind == "pivot below":
-            # zero diagonal, and column 0 nonzero only in the last row
-            m[range(n), range(n)] = 0
-            m[:, 0] = 0
-            m[n - 1, 0] = draw(st.integers(min_value=1, max_value=3))
-    return stack
+    m = np.array(draw(st.lists(small, min_size=n * n, max_size=n * n)),
+                 dtype=np.int64).reshape(n, n)
+    kind = draw(st.sampled_from(["random", "zero column", "repeated row",
+                                 "pivot below"]))
+    if n == 0 or kind == "random":
+        return m
+    if kind == "zero column":
+        m[:, draw(index)] = 0
+    elif kind == "repeated row" and n > 1:
+        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        m[j] = m[i]
+    elif kind == "pivot below":
+        # zero diagonal, and column 0 nonzero only in the last row
+        m[range(n), range(n)] = 0
+        m[:, 0] = 0
+        m[n - 1, 0] = draw(st.integers(min_value=1, max_value=3))
+    return m
 
 
 @settings(max_examples=300, deadline=None)
-@given(stack=det_stacks(), p=st.sampled_from([7, 101, 2**31 - 1]))
-def test_stacked_det_matches_bareiss(stack, p):
-    expected = [int(ExactMatrix(QQ, m).det()) % p for m in stack]
-    assert _gf_det(stack, p).tolist() == expected
-    assert [ExactMatrix(GF(p), m).det() for m in stack] == expected
+@given(m=det_matrices(), field=st.sampled_from([GF(7), GF(101), F, QQ]))
+@example(m=np.zeros((0, 0), dtype=np.int64), field=GF(7))
+@example(m=np.zeros((0, 0), dtype=np.int64), field=QQ)
+def test_det_matches_oracle(m, field):
+    matrix = ExactMatrix(field, m)
+    expected = _oracle_det(matrix.a, field)
+    assert matrix.det() == expected
+    # the same matrix as a pencil with one coordinate per cell, at the point m
+    n = m.shape[0]
+    pencil = AffinePencil(np.zeros((n, n), dtype=np.int64),
+                          [(i, j, i * n + j, 1) for i in range(n) for j in range(n)])
+    assert pencil.det(m.reshape(-1).tolist(), field) == expected
 
 
 def _c_matrix_pencil(field):
@@ -237,13 +251,11 @@ def test_pencil_det_at_many_points(which, field):
     rng = random.Random(5)
     points = [[field.random(rng) for _ in range(k)] for _ in range(5)]
     points.insert(2, [0] * k)
-    values = pencil.det(points, field)
-    assert values == [pencil.det(x, field) for x in points]
-    assert pencil.det(np.array(points, dtype=object), field) == values
+    values = [pencil.det(x, field) for x in points]
+    assert values == [_oracle_det(pencil.at(x, field), field) for x in points]
+    assert [pencil.det(np.array(x, dtype=object), field) for x in points] == values
     if which == "saito":
         assert values[2] == 0  # f vanishes at the origin
-    assert pencil.det(np.zeros((0, k), dtype=np.int64), field) == []
-
 
 
 # -- the characteristic polynomial -------------------------------------------------
@@ -290,16 +302,12 @@ def charpoly_inputs(draw):
 
 
 def _charpoly_by_interpolation(h, p):
-    """det(x I - h) mod p through n + 1 determinants: over F_p when p > n,
-    else over Q on the integer lift of h, reduced mod p afterwards (the
-    coefficients are integer polynomials in the entries)."""
+    """det(x I - h) mod p through n + 1 oracle determinants over Q on the
+    integer lift of h, reduced mod p afterwards (the coefficients are
+    integer polynomials in the entries)."""
     n = h.shape[0]
     nodes = range(n + 1)
-    shifted = [x * np.eye(n, dtype=np.int64) - h for x in nodes]
-    if p > n:
-        vals = _gf_det(np.array(shifted, dtype=np.int64).reshape(n + 1, n, n), p)
-        return interpolate(GF(p), zip(nodes, vals.tolist())).coeffs
-    vals = [ExactMatrix(QQ, m).det() for m in shifted]
+    vals = [bareiss_det(x * np.eye(n, dtype=np.int64) - h) for x in nodes]
     return [int(c) % p for c in interpolate(QQ, zip(nodes, vals)).coeffs]
 
 
@@ -337,9 +345,10 @@ def pencils(draw):
 
 
 def _line_values(pencil, a, b, field, nodes):
+    """det M(a + t b) at each node t, by the test oracle."""
     p = field.p
-    return [int(pencil.det([(x + t * y) % p for x, y in zip(a, b)], field))
-            for t in nodes]
+    points = ([(x + t * y) % p for x, y in zip(a, b)] for t in nodes)
+    return [_oracle_det(pencil.at(x, field), field) for x in points]
 
 
 def _check_det_line(pencil, a, b, field):

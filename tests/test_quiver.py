@@ -69,6 +69,22 @@ def test_classify_affine_cycle():
     assert gc.kind == "tame" and gc.name == "A~2" and gc.delta == (1, 1, 1)
 
 
+@pytest.mark.parametrize("q, kind, delta", [
+    # the second pivot of C is 0
+    (kronecker(), "tame", (1, 1)),
+    (cycle(4, oriented=False), "tame", (1, 1, 1, 1)),
+    # C_11 = 0, so the first pivot is 0
+    (Quiver(("1", "2"), (("1", "1"), ("1", "2"))), "wild", None),
+    # the five leaves give pivots 2, then the centre's pivot is 2 - 5/2 < 0
+    (Quiver(("1", "2", "3", "4", "5", "6"),
+            tuple((leaf, "6") for leaf in "12345")), "wild", None),
+])
+def test_classify_at_a_pivot_that_is_not_positive(q, kind, delta):
+    gc = classify_graph(q)
+    assert (gc.kind, gc.delta) == (kind, delta)
+    assert (kind, delta) == graph_kind_by_char_poly(q)
+
+
 @st.composite
 def connected_quivers(draw, max_vertices=7):
     """A random spanning tree plus a few extra arrows, loops allowed."""
