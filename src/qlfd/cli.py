@@ -11,6 +11,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -57,7 +58,7 @@ def _parse_vector(q: Quiver, text: str):
         raise QuiverInputError(f"bad vector {text!r}") from exc
 
 
-def cmd_analyze(q: Quiver, d, config: Config):
+def cmd_analyze(q: Quiver, d, config: Config, args):
     report = {
         "command": "analyze",
         "quiver": quiver_to_json(q, d),
@@ -84,7 +85,7 @@ def cmd_analyze(q: Quiver, d, config: Config):
     return report, EXIT_OK
 
 
-def cmd_lfd(q: Quiver, d, config: Config):
+def cmd_lfd(q: Quiver, d, config: Config, args):
     rep = lfd_verdict(q, _need_dim(d), config)
     out = {"command": "lfd", "quiver": quiver_to_json(q, d)}
     out.update(rep.to_json())
@@ -92,14 +93,14 @@ def cmd_lfd(q: Quiver, d, config: Config):
     return out, code
 
 
-def cmd_degrees(q: Quiver, d, config: Config):
+def cmd_degrees(q: Quiver, d, config: Config, args):
     rep = component_degrees_report(q, _need_dim(d), config)
     out = {"command": "degrees", "quiver": quiver_to_json(q, d)}
     out.update(rep)
     return out, EXIT_OK if rep.get("certified") else EXIT_INCONCLUSIVE
 
 
-def cmd_tubes(q: Quiver, d, config: Config):
+def cmd_tubes(q: Quiver, d, config: Config, args):
     gc = classify_graph(q)
     tubes = _tubes(q, gc)
     out = {
@@ -113,19 +114,19 @@ def cmd_tubes(q: Quiver, d, config: Config):
     return out, EXIT_OK
 
 
-def cmd_reflect(q: Quiver, d, config: Config, vertex: str):
-    q_new, d_new = reflect_pair(q, vertex, _need_dim(d))
+def cmd_reflect(q: Quiver, d, config: Config, args):
+    q_new, d_new = reflect_pair(q, args.vertex, _need_dim(d))
     out = {
         "command": "reflect",
-        "vertex": vertex,
+        "vertex": args.vertex,
         "before": quiver_to_json(q, d),
         "after": quiver_to_json(q_new, d_new),
     }
     return out, EXIT_OK
 
 
-def cmd_normal_form(q: Quiver, d, config: Config, max_steps: int):
-    q_new, d_new, trace = bipartite_normal_form(q, _need_dim(d), max_steps)
+def cmd_normal_form(q: Quiver, d, config: Config, args):
+    q_new, d_new, trace = bipartite_normal_form(q, _need_dim(d), args.max_steps)
     out = {
         "command": "normal-form",
         "before": quiver_to_json(q, d),
@@ -136,11 +137,11 @@ def cmd_normal_form(q: Quiver, d, config: Config, max_steps: int):
     return out, EXIT_OK
 
 
-def cmd_homogeneity(q: Quiver, d, config: Config, split: str, parts: str):
+def cmd_homogeneity(q: Quiver, d, config: Config, args):
     d = _need_dim(d)
     out = {"command": "homogeneity", "quiver": quiver_to_json(q, d)}
-    if split:
-        m_text, n_text = (split.split(":") + [None])[:2]
+    if args.split:
+        m_text, n_text = (args.split.split(":") + [None])[:2]
         if n_text is None:
             raise QuiverInputError("--split needs the form m1,m2,...:n1,n2,...")
         m = _parse_vector(q, m_text)
@@ -148,9 +149,9 @@ def cmd_homogeneity(q: Quiver, d, config: Config, split: str, parts: str):
         found = euler_homogeneity_witness(q, d, (m, n))
         out.update({"split": [list(m), list(n)], "euler_witness": found})
         return out, EXIT_OK
-    if parts:
-        vectors = [_parse_vector(q, t) for t in parts.split(":")]
-        cert = quasihom_certificate(q, d, vectors, config=config)
+    if args.parts:
+        vectors = [_parse_vector(q, t) for t in args.parts.split(":")]
+        cert = quasihom_certificate(q, d, vectors)
         out.update({"parts": [list(v) for v in vectors]})
         out.update(cert.to_json())
         code = EXIT_OK if cert.value != "none_found" else EXIT_INCONCLUSIVE
@@ -171,7 +172,10 @@ def _emit(report, fmt):
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; each subcommand sets
+    `run` to its cmd_* function."""
     ap = argparse.ArgumentParser(
         prog="qlfd",
         description="linear free divisor analysis for quiver representation spaces")
@@ -181,45 +185,30 @@ def build_parser():
     ap.add_argument("--entry-bound", type=int, default=Config.entry_bound)
     ap.add_argument("--format", choices=("json", "text"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "lfd", "degrees", "tubes", "normal-form"):
+    for name, run in (("analyze", cmd_analyze), ("lfd", cmd_lfd),
+                      ("degrees", cmd_degrees), ("tubes", cmd_tubes),
+                      ("normal-form", cmd_normal_form), ("reflect", cmd_reflect),
+                      ("homogeneity", cmd_homogeneity)):
         p = sub.add_parser(name)
         p.add_argument("path")
-    p = sub.add_parser("reflect")
-    p.add_argument("path")
-    p.add_argument("vertex")
-    p = sub.add_parser("homogeneity")
-    p.add_argument("path")
+        p.set_defaults(run=run)
+    sub.choices["reflect"].add_argument("vertex")
+    sub.choices["normal-form"].add_argument("--max-steps", type=int, default=64)
+    p = sub.choices["homogeneity"]
     p.add_argument("--split", default=None,
                    help="two comma-separated vectors 'm1,..:n1,..'")
     p.add_argument("--parts", default=None,
                    help="colon-separated list of comma-separated vectors")
-    sub.choices["normal-form"].add_argument("--max-steps", type=int, default=64)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = Config(prime=args.prime, seed=args.seed, trials=args.trials,
                         entry_bound=args.entry_bound)
         q, d = _load(args.path)
-        if args.command == "analyze":
-            report, code = cmd_analyze(q, d, config)
-        elif args.command == "lfd":
-            report, code = cmd_lfd(q, d, config)
-        elif args.command == "degrees":
-            report, code = cmd_degrees(q, d, config)
-        elif args.command == "tubes":
-            report, code = cmd_tubes(q, d, config)
-        elif args.command == "reflect":
-            report, code = cmd_reflect(q, d, config, args.vertex)
-        elif args.command == "normal-form":
-            report, code = cmd_normal_form(q, d, config, args.max_steps)
-        elif args.command == "homogeneity":
-            report, code = cmd_homogeneity(q, d, config, args.split, args.parts)
-        else:  # pragma: no cover
-            raise QuiverInputError(f"unknown command {args.command}")
+        report, code = args.run(q, d, config, args)
     except (QuiverInputError, DisconnectedQuiver, CyclicQuiver, NotTame,
             NotLfdShape, StepLimit, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

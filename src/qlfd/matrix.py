@@ -1,5 +1,5 @@
 """Dense exact matrices over Q or F_p: rank, nullspace, determinant, and
-matrices affine in a coordinate vector.
+matrices linear in a coordinate vector.
 
 A matrix is one numpy array: int64 entries in [0, p) over F_p, Fraction
 objects over Q. Every product of two residues stays below 2^62 for any
@@ -8,7 +8,7 @@ elimination, _rref, serves both fields: rank and nullspace read its pivot
 columns, and the determinant is its scale, the product of the pivots with
 the sign of the row swaps, when every column has a pivot.
 
-AffinePencil.det_line turns the determinant of an n x n pencil along a
+LinearPencil.det_line turns the determinant of an n x n pencil along a
 line into its polynomial over F_p in one O(n^3) pass: one Gauss-Jordan
 elimination of [A | B], then the characteristic polynomial of A^-1 B by
 Danilevsky's method, one similarity step per row. A singular start point
@@ -148,30 +148,25 @@ class ExactMatrix:
         return _det(self.a.copy(), _modulus(self.field))
 
 
-class AffinePencil:
-    """A matrix affine in a coordinate vector: M(x) = C + sum_k x_k E_k.
+class LinearPencil:
+    """An n x n matrix linear in a coordinate vector: M(x) = sum_k x_k E_k.
 
-    C is an int64 array (an object array over Q). The E_k are kept together
-    as rows (row, col, coord, coeff) of one int64 array of terms: cell
-    (row, col) gains coeff * x[coord]. A cell may hold several coordinates.
+    The E_k are kept together as rows (row, col, coord, coeff) of one int64
+    array of terms: cell (row, col) gains coeff * x[coord]. A cell may hold
+    several coordinates.
     """
 
-    __slots__ = ("const", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, const, terms=None):
-        self.const = const
-        self.terms = (np.zeros((0, 4), dtype=np.int64) if terms is None
-                      else np.asarray(terms, dtype=np.int64).reshape(-1, 4))
-
-    @property
-    def shape(self):
-        return self.const.shape
+    def __init__(self, n, terms=()):
+        self.n = n
+        self.terms = np.asarray(terms, dtype=np.int64).reshape(-1, 4)
 
     def at(self, xvec, field) -> np.ndarray:
         """M(x): a reduced int64 array over F_p, an object array over Q."""
         rows, cols, coords, coeffs = self.terms.T
         x = _entries(field, xvec)
-        m = self.const.astype(x.dtype)
+        m = np.zeros((self.n, self.n), dtype=x.dtype)
         np.add.at(m, (rows, cols), coeffs.astype(x.dtype) * x[coords])
         p = _modulus(field)
         return m if p is None else m % p
@@ -183,7 +178,7 @@ class AffinePencil:
     def det_line(self, a, b, field):
         """Coefficients, low to high, of t -> det M(a + t b) over F_p, or None.
 
-        M(a + t b) = A + t B with A = M(a) and B = M(b) - C. When A is
+        M(a + t b) = A + t B with A = M(a) and B = M(b). When A is
         invertible, det(A + t B) = det A * det(I + t K) with K = A^-1 B, and
         det(I + t K) is the characteristic polynomial of -K read backwards.
         One elimination of [A | B] gives det A and K. When A is singular the
@@ -194,8 +189,8 @@ class AffinePencil:
         """
         p = field.p
         base = self.at(a, field)
-        slope = (self.at(b, field) - self.const) % p
-        n = base.shape[0]
+        slope = self.at(b, field)
+        n = self.n
         for s in range(min(n + 1, p)):
             red, piv, det = _rref(np.hstack(((base + s * slope) % p, slope)), p)
             if piv[:n] != list(range(n)):

@@ -9,7 +9,7 @@ matrix._rref (Cohen, A Course in Computational Algebraic Number Theory,
 Ch. 3).
 
 Restrictions of determinants to lines over F_p come from
-AffinePencil.det_line. interpolate is its independent test reference:
+LinearPencil.det_line. interpolate is its independent test reference:
 Newton divided differences on scalars, sharing no code with the kernel.
 
 Squarefreeness is tested via gcd(a, a'); in characteristic p this is only

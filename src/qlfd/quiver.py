@@ -427,10 +427,14 @@ def quiver_from_json(data):
     d = None
     if "dim" in data and data["dim"] is not None:
         dim = data["dim"]
+        if not isinstance(dim, dict):
+            raise QuiverInputError("dim must be an object {vertex: integer}")
         missing = [v for v in vertices if v not in dim]
         if missing:
             raise QuiverInputError(f"dim missing vertices {missing}")
-        d = tuple(int(dim[v]) for v in vertices)
+        d = tuple(dim[v] for v in vertices)
+        if not all(type(x) is int for x in d):
+            raise QuiverInputError(f"dim entries must be integers, got {list(d)}")
         if any(x < 0 for x in d):
             raise QuiverInputError("negative dimension entry")
     return q, d

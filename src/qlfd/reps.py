@@ -6,7 +6,10 @@ Flattening convention, fixed once: coordinates of the representation space
 are ordered arrow by arrow (quiver arrow order), column-major within each
 arrow block. The map c between two representations uses vertex blocks then
 arrow blocks, column-major within each block; determinant signs and golden
-values depend on this.
+values depend on this. build_c_matrix is the one builder of c: Hom and Ext,
+the brick test, the orthogonal candidates and the relative invariants all
+read it, and c(x, x) transposed, without its last row, is the Saito matrix
+M(x).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import QuiverInputError
 from .fields import PrimeField
-from .matrix import AffinePencil, ExactMatrix, _entries
+from .matrix import ExactMatrix, _entries
 from .quiver import Quiver, check_dim, euler_matrix, is_positive
 
 
@@ -112,60 +115,30 @@ def _kron(a, b):
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
-def c_pencil(q: Quiver, m, n, field) -> AffinePencil:
-    """The map (phi_i) -> (phi_{t a} f_a - g_a phi_{s a}) as an affine pencil.
+def build_c_matrix(m: Representation, n: Representation) -> ExactMatrix:
+    """The map (phi_i) -> (phi_{t a} f_a - g_a phi_{s a}) between the
+    representations m = (f_a) and n = (g_a).
 
-    Each slot m, n is a Representation, whose blocks go into the constant
-    part, or a dimension vector d standing for the point x of Rep(q, d),
-    whose blocks become terms in the coordinates of x. Domain: one block per
-    vertex, Hom(V_i, W_i) flattened column-major. Codomain: one block per
-    arrow, Hom(V_{s a}, W_{t a}) flattened column-major.
+    Domain: one block per vertex, Hom(V_i, W_i) flattened column-major.
+    Codomain: one block per arrow, Hom(V_{s a}, W_{t a}) flattened
+    column-major. Kernel dimension is Hom, cokernel dimension is Ext.
     """
-    for slot in (m, n):
-        if isinstance(slot, Representation):
-            if slot.quiver != q:
-                raise QuiverInputError("representations live on different quivers")
-            if slot.field != field:
-                raise QuiverInputError("representations live over different fields")
-    md, nd = ((r.dim if isinstance(r, Representation) else check_dim(q, r))
-              for r in (m, n))
+    q, field = m.quiver, m.field
+    if n.quiver != q:
+        raise QuiverInputError("representations live on different quivers")
+    if n.field != field:
+        raise QuiverInputError("representations live over different fields")
+    md, nd = m.dim, n.dim
     arrows = q.arrow_indices()
     col_off = list(accumulate((md[i] * nd[i] for i in range(q.n_vertices)), initial=0))
     row_off = list(accumulate((md[s] * nd[t] for s, t in arrows), initial=0))
     dtype = np.int64 if isinstance(field, PrimeField) else object
-    const = np.full((row_off[-1], col_off[-1]), field.zero, dtype=dtype)
-    terms = [np.zeros((0, 4), dtype=np.int64)]
-
-    def arrow_matrices(slot):
-        if isinstance(slot, Representation):
-            return [mat.a for mat in slot.mats]
-        # the point: coordinate index + 1 of each entry, so 0 marks no cell
-        offs, _ = coord_offsets(q, slot)
-        return [off + 1 + np.arange(slot[s] * slot[t]).reshape(slot[s], slot[t]).T
-                for off, (s, t) in zip(offs, arrows)]
-
-    def put(slot, r0, c0, block, sign):
-        if isinstance(slot, Representation):
-            const[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += sign * block
-        else:
-            r, c = np.nonzero(block)
-            terms.append(np.column_stack(
-                (r + r0, c + c0, block[r, c] - 1, np.full(r.size, sign))))
-
-    for ai, ((s, t), f, g) in enumerate(zip(arrows, arrow_matrices(m),
-                                            arrow_matrices(n))):
+    c = np.full((row_off[-1], col_off[-1]), field.zero, dtype=dtype)
+    for (s, t), r0, r1, f, g in zip(arrows, row_off, row_off[1:], m.mats, n.mats):
         # f is md[t] x md[s], g is nd[t] x nd[s]
-        put(m, row_off[ai], col_off[t], _kron(f.T, np.eye(nd[t], dtype=np.int64)), 1)
-        put(n, row_off[ai], col_off[s], _kron(np.eye(md[s], dtype=np.int64), g), -1)
-    return AffinePencil(const, np.concatenate(terms))
-
-
-def build_c_matrix(m: Representation, n: Representation) -> ExactMatrix:
-    """The c map between two fixed representations (see c_pencil).
-
-    Kernel dimension is Hom, cokernel dimension is Ext.
-    """
-    return ExactMatrix(m.field, c_pencil(m.quiver, m, n, m.field).const)
+        c[r0:r1, col_off[t]:col_off[t + 1]] += _kron(f.a.T, np.eye(nd[t], dtype=np.int64))
+        c[r0:r1, col_off[s]:col_off[s + 1]] -= _kron(np.eye(md[s], dtype=np.int64), g.a)
+    return ExactMatrix(field, c)
 
 
 @dataclass(frozen=True)
@@ -241,29 +214,21 @@ class PerpCandidate:
     side: str  # "left" | "right"
 
 
-def perp_candidates(q: Quiver, d, entry_bound: int, trials: int, field, rng,
-                    roots=None, brick=None):
+def perp_candidates(q: Quiver, d, roots, brick: Representation, trials: int,
+                    field, rng):
     """Dimension vectors of candidate simple objects in the orthogonal
     categories of the generic representation of dimension d.
 
-    A candidate e must be a positive real root (q_Q(e) = 1), Euler-orthogonal
-    to d on the matching side, and a sampled generic representation of
-    dimension e must have Hom = Ext = 0 against a sampled generic brick of
-    dimension d: the c-matrix between them is square by orthogonality, so
-    this is a nonzero determinant, which proves the relative invariant c^e
-    of Rep(q, d) nonzero. Candidates are not certified simple; the degrees
-    report certifies a subset of them by an exact sum of their characters.
+    A candidate e must be one of the given positive real roots (q_Q(e) = 1),
+    Euler-orthogonal to d on the matching side, and a sampled generic
+    representation of dimension e must have Hom = Ext = 0 against the
+    sampled brick of dimension d: the c-matrix between them is square by
+    orthogonality, so this is a nonzero determinant, which proves the
+    relative invariant c^e of Rep(q, d) nonzero. Candidates are not
+    certified simple; the degrees report certifies a subset of them by an
+    exact sum of their characters.
     """
-    from .roots import positive_real_roots
-
     d = check_dim(q, d)
-    if roots is None:
-        roots = positive_real_roots(q, entry_bound)
-    if brick is None:
-        sv = is_schur_root(q, d, trials, field, rng)
-        if sv.value != "yes":
-            return []
-        brick = sv.witness
     # <e, d> and <d, e> for every root at once: E d and E^t d against the roots
     e_mat = np.array(euler_matrix(q), dtype=np.int64)
     dvec = np.array(d, dtype=np.int64)

@@ -26,14 +26,14 @@ from .config import Config
 from .errors import (DisconnectedQuiver, NonSquare, NotSincere,
                      PrimeTooSmall, QuiverInputError)
 from .fields import GF
-from .matrix import AffinePencil
+from .matrix import LinearPencil
 from .poly import UnivariatePoly
 from .quiver import (Quiver, check_dim, classify_graph, euler_form,
                      euler_matrix, is_positive, is_sincere, is_tree,
                      rep_dimension, stages, support_pair, tits_form,
                      topological_order)
-from .reps import (Representation, c_pencil, coord_offsets, coords_from_rep,
-                   hom_ext, is_schur_root, perp_candidates)
+from .reps import (Representation, build_c_matrix, coord_offsets,
+                   coords_from_rep, hom_ext, is_schur_root, perp_candidates)
 
 
 # -- the Saito matrix ------------------------------------------------------------------
@@ -44,17 +44,19 @@ class SaitoMatrix:
 
     Entry (A, j) is the j-th coordinate of the linear vector field induced
     by the basis element A, i.e. of x -> (A_t x_a - x_a A_s)_a, so the matrix
-    is an affine pencil with zero constant part. The dropped basis element is
-    the last diagonal unit of the last vertex; any other complement of the
-    scalars changes the determinant by a nonzero constant.
+    is a linear pencil in the coordinates: M(x) is c(x, x) transposed,
+    without the row of the dropped basis element (see reps.build_c_matrix).
+    The dropped basis element is the last diagonal unit of the last vertex;
+    any other complement of the scalars changes the determinant by a
+    nonzero constant.
     """
 
-    def __init__(self, quiver, dim, row_labels, pencil: AffinePencil):
+    def __init__(self, quiver, dim, row_labels, pencil: LinearPencil):
         self.quiver = quiver
         self.dim = dim
         self.row_labels = row_labels
         self.pencil = pencil
-        self.n = pencil.shape[0]
+        self.n = pencil.n
 
     def det_at(self, xvec, field):
         if len(xvec) != self.n:
@@ -95,8 +97,7 @@ def build_saito_matrix(q: Quiver, d) -> SaitoMatrix:
                 for r in range(d[t]):
                     key = (i, off + c0 * d[t] + r, off + r0 * d[t] + r)
                     terms[key] = terms.get(key, 0) - 1
-    pencil = AffinePencil(np.zeros((total, total), dtype=np.int64),
-                          [(*key, c) for key, c in sorted(terms.items()) if c])
+    pencil = LinearPencil(total, [(*key, c) for key, c in sorted(terms.items()) if c])
     return SaitoMatrix(q, d, tuple(labels), pencil)
 
 
@@ -111,11 +112,10 @@ def evaluate_f(s: SaitoMatrix, point):
 
 
 def single_coordinate_basis_check(s: SaitoMatrix) -> bool:
-    """Every entry is a scalar multiple of one coordinate with no constant,
-    and no coordinate repeats within a row."""
+    """Every entry is a scalar multiple of one coordinate, and no coordinate
+    repeats within a row."""
     rows, cols, coords, _ = s.pencil.terms.T
-    return (not s.pencil.const.any()
-            and len(set(zip(rows, cols))) == len(rows)
+    return (len(set(zip(rows, cols))) == len(rows)
             and len(set(zip(rows, coords))) == len(rows))
 
 
@@ -146,7 +146,7 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
     """Probabilistic reducedness of f via random affine lines over F_p.
 
     Each trial restricts f to x(t) = a + t b and reads off the univariate
-    polynomial in one pass (AffinePencil.det_line: one elimination and a
+    polynomial in one pass (LinearPencil.det_line: one elimination and a
     Danilevsky characteristic polynomial mod p), then tests degree-n
     squarefreeness. The determinant has integer coefficients, so a single
     squarefree degree-n restriction is a sound certificate of reducedness.
@@ -227,36 +227,31 @@ def component_degree(q: Quiver, d, m, side: str) -> int:
     return int(_weights(q, d, [m], side)[1][0])
 
 
-def invariant_pencil(q: Quiver, d, m_rep: Representation, side: str):
-    """The c-matrix between the point x of Rep(q, d) and m_rep, as a pencil.
+def relative_invariant_det(q: Quiver, d, m_rep: Representation, side: str):
+    """Evaluator x -> det c(x, m_rep) (right side) or det c(m_rep, x) (left
+    side) at points x of Rep(q, d); its degree is component_degree.
 
-    Right side: the point occupies the first slot of the c map; left side
-    the second. Squareness is forced by the Euler orthogonality and checked.
+    The c-matrix is square exactly under the Euler orthogonality of the
+    side, which is checked.
     """
     d = check_dim(q, d)
+    if m_rep.quiver != q:
+        raise QuiverInputError("representations live on different quivers")
     m = m_rep.dim
     if side == "right":
         if euler_form(q, d, m) != 0:
             raise NonSquare("<d, dim M> must vanish for the right invariant")
-        slots = (d, m_rep)
     elif side == "left":
         if euler_form(q, m, d) != 0:
             raise NonSquare("<dim M, d> must vanish for the left invariant")
-        slots = (m_rep, d)
     else:
         raise QuiverInputError("side must be 'left' or 'right'")
-    return c_pencil(q, *slots, m_rep.field)
-
-
-def relative_invariant_det(q: Quiver, d, m_rep: Representation, side: str):
-    """Evaluator x -> det(c between x and m_rep); degree = component_degree."""
-    pencil = invariant_pencil(q, d, m_rep, side)
-    d = check_dim(q, d)
 
     def evaluator(point: Representation):
         if point.quiver != q or point.dim != d or point.field != m_rep.field:
             raise QuiverInputError("point does not match the invariant's shape")
-        return pencil.det(coords_from_rep(point), m_rep.field)
+        pair = (point, m_rep) if side == "right" else (m_rep, point)
+        return build_c_matrix(*pair).det()
 
     return evaluator
 
@@ -336,8 +331,7 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
 
     from .roots import positive_real_roots
     roots = positive_real_roots(q, config.entry_bound)
-    cands = perp_candidates(q, d, config.entry_bound, config.trials, field, rng,
-                            roots=roots, brick=schur.witness)
+    cands = perp_candidates(q, d, roots, schur.witness, config.trials, field, rng)
     e = np.array(euler_matrix(q), dtype=np.int64)
     chi_f = (e - e.T) @ np.array(d, dtype=np.int64)
 
@@ -429,8 +423,8 @@ def _ext_digraph_certificate(ext, route) -> HomogeneityCertificate:
     return HomogeneityCertificate("none_found", route=route)
 
 
-def quasihom_certificate(q: Quiver, d, parts, part_reps=None,
-                         config: Config = None) -> HomogeneityCertificate:
+def quasihom_certificate(q: Quiver, d, parts,
+                         part_reps=None) -> HomogeneityCertificate:
     """Quasihomogeneity certificate for a point with the given decomposition.
 
     With concrete representations for the parts the pairwise extension

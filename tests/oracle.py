@@ -160,8 +160,7 @@ def expand_f_symbolic(s, expand_limit: int = 8) -> MultiPoly:
     if s.n > expand_limit:
         raise ValueError(f"symbolic expansion gated to n <= {expand_limit}")
     nvars = s.n
-    grid = [[MultiPoly.const(nvars, c) for c in row]
-            for row in s.pencil.const.tolist()]
+    grid = [[MultiPoly.zero(nvars) for _ in range(nvars)] for _ in range(nvars)]
     for i, j, k, c in s.pencil.terms.tolist():
         grid[i][j] = grid[i][j].add(MultiPoly.coordinate(k, nvars, c))
     return sym_det(grid)

@@ -155,6 +155,16 @@ def test_bad_input_exit_code(tmp_path, capsys):
     missing_dim = tmp_path / "nodim.json"
     missing_dim.write_text(json.dumps({"vertices": ["1"], "arrows": []}))
     assert main(["lfd", str(missing_dim)]) == 1
+    capsys.readouterr()
+    # dim must be an object of JSON integers: no lists, strings, floats or bools
+    for dim in ({"1": [1], "2": 1}, "12", {"1": 1.5, "2": 1}, {"1": True, "2": 1}):
+        data = {"vertices": ["1", "2"], "arrows": [["1", "2"]], "dim": dim}
+        bad.write_text(json.dumps(data))
+        assert main(["lfd", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "error" in json.loads(captured.err)
 
 
 def test_bad_config_is_a_json_error(capsys):

@@ -12,11 +12,7 @@ from qlfd import (ExactMatrix, GF, QQ, UnivariatePoly, build_saito_matrix,
                   interpolate, reducedness_test)
 from qlfd.config import Config
 from qlfd.errors import PrimeTooSmall
-from qlfd.matrix import AffinePencil, _gf_charpoly
-from qlfd.quiver import euler_form
-from qlfd.reps import sample_representation
-from qlfd.roots import positive_real_roots
-from qlfd.saito import invariant_pencil
+from qlfd.matrix import LinearPencil, _gf_charpoly
 
 from conftest import a2, d4_in
 from oracle import bareiss_det
@@ -225,28 +221,24 @@ def test_det_matches_oracle(m, field):
     assert matrix.det() == expected
     # the same matrix as a pencil with one coordinate per cell, at the point m
     n = m.shape[0]
-    pencil = AffinePencil(np.zeros((n, n), dtype=np.int64),
-                          [(i, j, i * n + j, 1) for i in range(n) for j in range(n)])
+    pencil = LinearPencil(n, [(i, j, i * n + j, 1) for i in range(n) for j in range(n)])
     assert pencil.det(m.reshape(-1).tolist(), field) == expected
 
 
-def _c_matrix_pencil(field):
-    """The right relative-invariant pencil of D4 at d = (1, 1, 1, 2) against a
-    random representation of an orthogonal root."""
-    q, d = d4_in(), (1, 1, 1, 2)
-    e = next(e for e in positive_real_roots(q, 2)
-             if e != d and euler_form(q, d, e) == 0)
-    rep = sample_representation(q, e, field, random.Random(4))
-    return invariant_pencil(q, d, rep, "right")
+def _stacked_cells_pencil():
+    """A 4 x 4 pencil with one coordinate per cell, plus a 17th coordinate
+    that every diagonal cell holds as well."""
+    return LinearPencil(4, [(i, j, 4 * i + j, 1) for i in range(4) for j in range(4)]
+                        + [(i, i, 16, 2) for i in range(4)])
 
 
-@pytest.mark.parametrize("which", ["saito", "c-matrix"])
+@pytest.mark.parametrize("which", ["saito", "cells"])
 @pytest.mark.parametrize("field", [F, GF(7), QQ])
 def test_pencil_det_at_many_points(which, field):
     if which == "saito":
         pencil = build_saito_matrix(d4_in(), (1, 1, 1, 2)).pencil
     else:
-        pencil = _c_matrix_pencil(field)
+        pencil = _stacked_cells_pencil()
     k = int(pencil.terms[:, 2].max()) + 1
     rng = random.Random(5)
     points = [[field.random(rng) for _ in range(k)] for _ in range(5)]
@@ -254,8 +246,7 @@ def test_pencil_det_at_many_points(which, field):
     values = [pencil.det(x, field) for x in points]
     assert values == [_oracle_det(pencil.at(x, field), field) for x in points]
     assert [pencil.det(np.array(x, dtype=object), field) for x in points] == values
-    if which == "saito":
-        assert values[2] == 0  # f vanishes at the origin
+    assert values[2] == 0  # a linear pencil is singular at the origin
 
 
 # -- the characteristic polynomial -------------------------------------------------
@@ -325,8 +316,10 @@ def test_charpoly_matches_interpolation(case):
 
 @st.composite
 def pencils(draw):
-    """A random AffinePencil of size n in k coordinates, with a point a and a
-    direction b; the constant part, a and b may each be zero."""
+    """A random LinearPencil of size n in k + 1 coordinates, with a point a
+    and a direction b. Coordinate k carries an affine part C: a_k = 1 and
+    b_k = 0, so M(a + t b) = C + M'(a' + t b') in the other coordinates. C,
+    a' and b' may each be zero."""
     n = draw(st.integers(min_value=0, max_value=8))
     k = draw(st.integers(min_value=1, max_value=3))
     small = st.integers(min_value=-3, max_value=3)
@@ -336,12 +329,13 @@ def pencils(draw):
         const[:] = 0
     coeffs = np.array(draw(st.lists(small, min_size=n * n * k, max_size=n * n * k)),
                       dtype=np.int64).reshape(n, n, k)
+    coeffs = np.concatenate((coeffs, const[:, :, None]), axis=2)
     terms = [(*cell, c) for cell, c in np.ndenumerate(coeffs) if c]
     point = st.lists(st.integers(min_value=0, max_value=2**31), min_size=k, max_size=k)
     zero = [0] * k
-    a = draw(st.sampled_from([zero]) | point)
-    b = draw(st.sampled_from([zero]) | point)
-    return AffinePencil(const, terms), a, b
+    a = draw(st.sampled_from([zero]) | point) + [1]
+    b = draw(st.sampled_from([zero]) | point) + [0]
+    return LinearPencil(n, terms), a, b
 
 
 def _line_values(pencil, a, b, field, nodes):
@@ -355,7 +349,7 @@ def _check_det_line(pencil, a, b, field):
     """det_line against interpolation on n + 1 nodes (p > n) or against the
     determinant at every t in F_p (p <= n)."""
     coeffs = pencil.det_line(a, b, field)
-    n, p = pencil.shape[0], field.p
+    n, p = pencil.n, field.p
     if p > n:
         vals = _line_values(pencil, a, b, field, range(n + 1))
         assert (coeffs is None) == (not any(vals))
@@ -392,7 +386,7 @@ def test_det_line_singular_start_on_saito_pencil(p):
 
 
 def test_det_line_of_the_empty_matrix():
-    assert AffinePencil(np.zeros((0, 0), dtype=np.int64)).det_line([1], [2], F) == [1]
+    assert LinearPencil(0).det_line([1], [2], F) == [1]
 
 
 def _writes_rows(target) -> bool:

@@ -10,6 +10,7 @@ from qlfd.errors import QuiverInputError
 from qlfd.quiver import Quiver
 from qlfd.reps import (Representation, coords_from_rep, rep_from_coords,
                        rep_from_json)
+from qlfd.roots import positive_real_roots
 
 from conftest import a2, a3, d4_in, kronecker
 
@@ -171,7 +172,9 @@ def test_is_schur_root():
 
 def test_perp_candidates_a2():
     rng = random.Random(5)
-    cands = perp_candidates(a2(), (1, 1), 2, 3, F, rng)
+    brick = is_schur_root(a2(), (1, 1), 3, F, rng).witness
+    cands = perp_candidates(a2(), (1, 1), positive_real_roots(a2(), 2), brick,
+                            3, F, rng)
     as_set = {(c.vector, c.side) for c in cands}
     assert ((1, 0), "left") in as_set
     assert ((0, 1), "right") in as_set

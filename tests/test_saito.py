@@ -14,12 +14,12 @@ from qlfd import (GF, Quiver, build_saito_matrix, component_degree, component_de
 from qlfd.config import Config
 from qlfd.errors import NonSquare, NotSincere, PrimeTooSmall, QuiverInputError
 from qlfd.fields import QQ
-from qlfd.matrix import AffinePencil
+from qlfd.matrix import LinearPencil
 from qlfd.quiver import euler_matrix, rep_dimension
 from qlfd.reps import (build_c_matrix, coords_from_rep, is_brick, is_schur_root,
                        rep_from_coords)
 from qlfd.roots import positive_real_roots
-from qlfd.saito import SaitoMatrix, invariant_pencil
+from qlfd.saito import SaitoMatrix
 
 from conftest import (E7_JSON, a2, a3, cycle, d4_in, d4_out, kronecker,
                       random_tree_quiver)
@@ -33,7 +33,6 @@ CFG = Config()
 def test_saito_a2():
     s = build_saito_matrix(a2(), (1, 1))
     assert s.n == 1
-    assert not s.pencil.const.any()
     assert len(s.pencil.terms) == 1
     row, col, idx, coeff = s.pencil.terms[0]
     assert (row, col, idx) == (0, 0, 0) and coeff in (1, -1)
@@ -118,7 +117,7 @@ def test_reducedness_identically_zero():
     s = build_saito_matrix(d4_in(), (1, 1, 1, 2))
     terms = s.pencil.terms
     dead = SaitoMatrix(s.quiver, s.dim, s.row_labels,
-                       AffinePencil(s.pencil.const, terms[terms[:, 0] != 0]))
+                       LinearPencil(s.n, terms[terms[:, 0] != 0]))
     assert reducedness_test(dead, 3, (CFG.prime,), 0).value == "identically_zero"
 
 
@@ -131,7 +130,7 @@ def test_single_coordinate_check():
     kept = terms[(terms[:, 0] != 0) | (terms[:, 1] != 0)]
     broken = SaitoMatrix(  # cell (0, 0) becomes x_0 + x_1
         s.quiver, s.dim, s.row_labels,
-        AffinePencil(s.pencil.const, [(0, 0, 0, 1), (0, 0, 1, 1), *kept]))
+        LinearPencil(s.n, [(0, 0, 0, 1), (0, 0, 1, 1), *kept]))
     assert not single_coordinate_basis_check(broken)
 
 
@@ -151,6 +150,31 @@ def test_saito_loop_cells_hold_two_coordinates():
                                       for row in over_q]).all()
     assert reducedness_test(s, 3, (CFG.prime,), 0).value == "identically_zero"
     assert not single_coordinate_basis_check(s)
+
+
+def _check_saito_is_transposed_c(q, d, field, rng):
+    # M(x) is c(x, x) transposed, without the row of the dropped diagonal
+    # unit: the identity behind is_schur_root(saito=)
+    s = build_saito_matrix(q, d)
+    for _ in range(3):
+        x = sample_representation(q, d, field, rng)
+        m = s.pencil.at(coords_from_rep(x), field)
+        assert (m == build_c_matrix(x, x).a.T[:-1]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       field=st.sampled_from([GF(7), F, QQ]))
+def test_saito_matrix_is_transposed_c_on_trees(seed, field):
+    rng = random.Random(seed)
+    q, d = _sincere_root(rng, rng.randint(2, 5), 3)
+    _check_saito_is_transposed_c(q, d, field, rng)
+
+
+@pytest.mark.parametrize("field", [GF(7), F, QQ])
+def test_saito_matrix_is_transposed_c_with_a_loop(field):
+    q = Quiver(("1", "2", "3"), (("1", "2"), ("2", "2"), ("2", "3")))
+    _check_saito_is_transposed_c(q, (2, 4, 5), field, random.Random(6))
 
 
 def test_lfd_verdicts():
@@ -324,8 +348,8 @@ def test_relative_invariant_product_matches_f(case):
 
 
 def test_invariant_pencil_matches_c_matrix():
-    # det of the c-matrix pencil at x equals det c(rep_from_coords(x), M) on
-    # both sides, over F_p and over Q.
+    # the relative invariant at x equals the oracle's det c(x, M) (right) or
+    # det c(M, x) (left), over F_p and over Q.
     rng = random.Random(5)
     q = d4_in()
     d = (1, 1, 1, 2)
@@ -336,7 +360,6 @@ def test_invariant_pencil_matches_c_matrix():
                        "right": ((0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1))}[side]
             for m in vectors:
                 m_rep = sample_representation(q, m, field, rng)
-                pencil = invariant_pencil(q, d, m_rep, side)
                 ev = relative_invariant_det(q, d, m_rep, side)
                 for _ in range(4):
                     x = [field.random(rng) for _ in range(6)]
@@ -344,7 +367,7 @@ def test_invariant_pencil_matches_c_matrix():
                     pair = (point, m_rep) if side == "right" else (m_rep, point)
                     det = bareiss_det(build_c_matrix(*pair).a)
                     expected = det if field is QQ else int(det) % field.p
-                    assert pencil.det(x, field) == expected == ev(point)
+                    assert ev(point) == expected
 
 
 # -- symbolic oracle ---------------------------------------------------------------
@@ -410,14 +433,14 @@ def test_quasihom_concrete_dynkin():
     s1 = rep_from_coords(q, (1, 0), [], F)
     s2 = rep_from_coords(q, (0, 1), [], F)
     cert = quasihom_certificate(q, (1, 1), [(1, 0), (0, 1)],
-                                part_reps=[s1, s2], config=CFG)
+                                part_reps=[s1, s2])
     assert cert.value == "quasihomogeneous"
     # S2 must come before S1 in the ordering (ext(S1, S2) is nonzero)
     assert cert.ordering == (1, 0)
 
 
 def test_quasihom_single_part():
-    cert = quasihom_certificate(a2(), (1, 1), [(1, 1)], config=CFG)
+    cert = quasihom_certificate(a2(), (1, 1), [(1, 1)])
     assert cert.value == "none_found"
 
 
@@ -429,7 +452,7 @@ def test_quasihom_concrete_three_parts():
     reps = [rep_from_coords(q, u, [0] * sum(u[s] * u[t]
                                             for s, t in q.arrow_indices()), F)
             for u in units]
-    cert = quasihom_certificate(q, (1, 1, 1), units, part_reps=reps, config=CFG)
+    cert = quasihom_certificate(q, (1, 1, 1), units, part_reps=reps)
     assert cert.value == "quasihomogeneous"
     assert cert.ordering == (2, 1, 0)
 
@@ -453,14 +476,14 @@ def test_quasihom_tube_route(e7_pair):
             found = (part_a, part_b)
             break
     assert found is not None
-    cert = quasihom_certificate(q7, d7, list(found), config=CFG)
+    cert = quasihom_certificate(q7, d7, list(found))
     assert cert.value == "weakly"
     assert cert.route == "tube"
 
 
 def test_quasihom_parts_mismatch():
     with pytest.raises(QuiverInputError):
-        quasihom_certificate(a2(), (1, 1), [(1, 0), (1, 0)], config=CFG)
+        quasihom_certificate(a2(), (1, 1), [(1, 0), (1, 0)])
 
 
 # -- the Schur test on the Saito matrix ------------------------------------------------
