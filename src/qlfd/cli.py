@@ -172,17 +172,33 @@ def _emit(report, fmt):
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError in place of printing the usage text and exiting 2,
+    which the CLI reserves for inconclusive verdicts; subparsers share the
+    class. Help still prints and exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process; each subcommand sets
     `run` to its cmd_* function."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qlfd",
         description="linear free divisor analysis for quiver representation spaces")
     ap.add_argument("--prime", type=int, default=Config.prime)
     ap.add_argument("--seed", type=int, default=Config.seed)
     ap.add_argument("--trials", type=int, default=Config.trials)
-    ap.add_argument("--entry-bound", type=int, default=Config.entry_bound)
+    ap.add_argument("--entry-bound", type=int, default=Config.entry_bound,
+                    help="largest root entry that degrees searches; the root "
+                         "box grows from 1 and the search stops at the first "
+                         "box that certifies")
     ap.add_argument("--format", choices=("json", "text"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, run in (("analyze", cmd_analyze), ("lfd", cmd_lfd),
@@ -203,14 +219,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = Config(prime=args.prime, seed=args.seed, trials=args.trials,
                         entry_bound=args.entry_bound)
         q, d = _load(args.path)
         report, code = args.run(q, d, config, args)
     except (QuiverInputError, DisconnectedQuiver, CyclicQuiver, NotTame,
-            NotLfdShape, StepLimit, ValueError) as exc:
+            NotLfdShape, StepLimit, UsageError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return EXIT_INPUT
     _emit(report, args.format)

@@ -415,14 +415,24 @@ def quiver_to_json(q: Quiver, d=None) -> dict:
 
 
 def quiver_from_json(data):
-    """Parse {"vertices": [...], "arrows": [[s,t],...], "dim": {v: n}}."""
+    """Parse {"vertices": [...], "arrows": [[s,t],...], "dim": {v: n}}.
+
+    vertices must be an array, each arrow a two-element array and each dim
+    entry an integer; nothing else is read as one of them.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        vertices = tuple(str(v) for v in data["vertices"])
-        arrows = tuple((str(s), str(t)) for s, t in data["arrows"])
-    except (KeyError, TypeError, ValueError) as exc:
+        vertices, arrows = data["vertices"], data["arrows"]
+    except (KeyError, TypeError) as exc:
         raise QuiverInputError(f"malformed quiver JSON: {exc}") from exc
+    if not isinstance(vertices, list):
+        raise QuiverInputError("vertices must be an array")
+    if not (isinstance(arrows, list)
+            and all(isinstance(a, list) and len(a) == 2 for a in arrows)):
+        raise QuiverInputError("arrows must be an array of [source, target] arrays")
+    vertices = tuple(str(v) for v in vertices)
+    arrows = tuple((str(s), str(t)) for s, t in arrows)
     q = Quiver(vertices, arrows)
     d = None
     if "dim" in data and data["dim"] is not None:

@@ -54,7 +54,9 @@ class Representation:
 
 
 def rep_from_json(q: Quiver, data, field) -> Representation:
-    d = tuple(int(data["dim"][v]) for v in q.vertices)
+    d = tuple(data["dim"][v] for v in q.vertices)
+    if not all(type(x) is int for x in d):
+        raise QuiverInputError(f"dim entries must be integers, got {list(d)}")
     mats = []
     for i, (s, t) in enumerate(q.arrow_indices()):
         rows = data["mats"][str(i)]
@@ -208,19 +210,14 @@ def is_schur_root(q: Quiver, d, trials: int, field, rng, saito=None) -> SchurVer
     return SchurVerdict("inconclusive", trials)
 
 
-@dataclass(frozen=True)
-class PerpCandidate:
-    vector: tuple
-    side: str  # "left" | "right"
-
-
-def perp_candidates(q: Quiver, d, roots, brick: Representation, trials: int,
-                    field, rng):
-    """Dimension vectors of candidate simple objects in the orthogonal
-    categories of the generic representation of dimension d.
+def perp_candidates(q: Quiver, d, roots, side: str, brick: Representation,
+                    trials: int, field, rng):
+    """Dimension vectors of candidate simple objects in one orthogonal
+    category of the generic representation of dimension d: the left one
+    (<e, d> = 0) or the right one (<d, e> = 0).
 
     A candidate e must be one of the given positive real roots (q_Q(e) = 1),
-    Euler-orthogonal to d on the matching side, and a sampled generic
+    Euler-orthogonal to d on the given side, and a sampled generic
     representation of dimension e must have Hom = Ext = 0 against the
     sampled brick of dimension d: the c-matrix between them is square by
     orthogonality, so this is a nonzero determinant, which proves the
@@ -229,22 +226,22 @@ def perp_candidates(q: Quiver, d, roots, brick: Representation, trials: int,
     exact sum of their characters.
     """
     d = check_dim(q, d)
-    # <e, d> and <d, e> for every root at once: E d and E^t d against the roots
+    if side not in ("left", "right"):
+        raise QuiverInputError("side must be 'left' or 'right'")
+    # <e, d> = e . E d on the left and <d, e> = e . E^t d on the right
     e_mat = np.array(euler_matrix(q), dtype=np.int64)
-    dvec = np.array(d, dtype=np.int64)
+    if side == "right":
+        e_mat = e_mat.T
     pairings = (np.array(roots, dtype=np.int64).reshape(len(roots), q.n_vertices)
-                @ np.column_stack((e_mat @ dvec, e_mat.T @ dvec)))
+                @ (e_mat @ np.array(d, dtype=np.int64)))
     out = []
-    for e, sides in zip(roots, (pairings == 0).tolist()):
-        if e == d or not any(e):
+    for e, pairing in zip(roots, pairings.tolist()):
+        if pairing or e == d or not any(e):
             continue
-        for side, ortho in zip(("left", "right"), sides):
-            if not ortho:
-                continue
-            for _ in range(trials):
-                probe = sample_representation(q, e, field, rng)
-                rep_pair = (probe, brick) if side == "left" else (brick, probe)
-                if build_c_matrix(*rep_pair).det() != 0:
-                    out.append(PerpCandidate(e, side))
-                    break
+        for _ in range(trials):
+            probe = sample_representation(q, e, field, rng)
+            rep_pair = (probe, brick) if side == "left" else (brick, probe)
+            if build_c_matrix(*rep_pair).det() != 0:
+                out.append(e)
+                break
     return out

@@ -67,16 +67,19 @@ def is_real_root(q: Quiver, d, depth_bound: int = 10**6) -> str:
     return "yes"
 
 
-def positive_real_roots(q: Quiver, bound):
-    """All positive real roots with entries within the given box.
+def root_layers(q: Quiver, bound):
+    """The positive real roots within the given box, one layer at a time.
 
-    `bound` is an int or a per-vertex tuple. Found by closing the unit
-    vectors at loop-free vertices (the units with q_Q = 1) under simple
-    reflections inside the box; any positive real root in the box descends
-    to a unit vector through the box, so this is exhaustive. Only the
-    reflections that raise an entry are taken, as the reverse of a descent
-    raises one entry per step; the pairing reads the nonzero entries of the
-    Cartan row only.
+    `bound` is an int or a per-vertex tuple. For b = 1 up to the largest
+    entry of the box, yields the sorted list of roots whose largest entry is
+    b. Found by closing the unit vectors at loop-free vertices (the units
+    with q_Q = 1) under simple reflections inside the box; any positive real
+    root in the box descends to a unit vector through the box, so this is
+    exhaustive. Only the reflections that raise an entry are taken, as the
+    reverse of a descent raises one entry per step; the pairing reads the
+    nonzero entries of the Cartan row only. A raise never lowers the
+    largest entry, so a vector that leaves box b waits for the layer of its
+    largest entry, and each layer is complete when it is yielded.
     """
     n = q.n_vertices
     if isinstance(bound, int):
@@ -86,18 +89,28 @@ def positive_real_roots(q: Quiver, bound):
     c = cartan_matrix(q)
     free = [(j, [(k, a) for k, a in enumerate(c[j]) if a])
             for j in range(n) if c[j][j] == 2]
-    seen = {tuple(int(i == j) for i in range(n)) for j, _ in free if box[j] >= 1}
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        for j, row in free:
-            x = v[j] - sum(a * v[k] for k, a in row)
-            if v[j] < x <= box[j]:
-                w = v[:j] + (x,) + v[j + 1:]
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    return sorted(seen)
+    waiting = {1: {tuple(int(i == j) for i in range(n)) for j, _ in free if box[j] >= 1}}
+    for b in range(1, max(box, default=0) + 1):
+        layer = waiting.pop(b, set())
+        frontier = list(layer)
+        while frontier:
+            v = frontier.pop()
+            for j, row in free:
+                x = v[j] - sum(a * v[k] for k, a in row)
+                if v[j] < x <= box[j]:
+                    w = v[:j] + (x,) + v[j + 1:]
+                    if x > b:
+                        waiting.setdefault(x, set()).add(w)
+                    elif w not in layer:
+                        layer.add(w)
+                        frontier.append(w)
+        yield sorted(layer)
+
+
+def positive_real_roots(q: Quiver, bound):
+    """All positive real roots with entries within the given box, sorted:
+    the layers of root_layers joined."""
+    return sorted(r for layer in root_layers(q, bound) for r in layer)
 
 
 # -- Coxeter transformation -------------------------------------------------------

@@ -292,9 +292,9 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
     """Certified component degrees of the discriminant of (q, d).
 
     Pipeline: sample a brick x of dimension d (so f(x) != 0 and Rep(q, d)
-    is prehomogeneous), enumerate orthogonal real-root candidates e, each
-    with a nonzero relative invariant c^e (perp_candidates), and attach
-    to each its character chi_e and degree (_weights). Then search
+    is prehomogeneous), take orthogonal real-root candidates e, each with a
+    nonzero relative invariant c^e (perp_candidates), and attach to each
+    its character chi_e and degree (_weights). Then search
     (#vertices - 1)-subsets whose degrees sum to dim Rep, and certify a
     subset exactly when its characters sum to chi_f = (E - E^t) d, the
     character of the Saito determinant f. The semi-invariants of one
@@ -304,6 +304,17 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
     since det E = 1, and positive degrees, since a nonzero semi-invariant
     of nonzero character is a nonconstant homogeneous polynomial.
     Non-unique certified degree multisets are flagged.
+
+    The certificate does not depend on where the candidates came from, so
+    the root box grows: on the left side, then on the right, for
+    b = 1 ... entry_bound the roots whose largest entry is b are tested,
+    and the search stops at the first box b that certifies, reported as
+    `search_bound`. The left side is searched through the whole box before
+    the right side is tried. `candidates_considered` and
+    `subsets_certified` count only the certified side within box b. When f
+    is reduced, its components are the only certified subset, so the report
+    is that of a search of the whole box; on a non-reduced f a larger box
+    can certify further subsets.
     """
     d = check_dim(q, d)
     report = {"certified": False, "provenance": config.provenance()}
@@ -329,31 +340,40 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
         report["reason"] = "Schur sampling inconclusive"
         return report
 
-    from .roots import positive_real_roots
-    roots = positive_real_roots(q, config.entry_bound)
-    cands = perp_candidates(q, d, roots, schur.witness, config.trials, field, rng)
+    from .roots import root_layers
+    fresh = root_layers(q, config.entry_bound)
+    layers = []  # listed once, on the left side, and reused on the right
     e = np.array(euler_matrix(q), dtype=np.int64)
     chi_f = (e - e.T) @ np.array(d, dtype=np.int64)
 
     for side in ("left", "right"):
-        vectors = [c.vector for c in cands if c.side == side]
-        chi, degrees = _weights(q, d, vectors, side)
-        degrees = degrees.tolist()
-        certified = [ss for ss in degree_sum_check(degrees, k_target, n)
-                     if (chi[list(ss)].sum(axis=0) == chi_f).all()]
-        if certified:
-            multisets = {tuple(sorted(degrees[i] for i in ss)) for ss in certified}
-            first = certified[0]
-            report.update({
-                "certified": True,
-                "side": side,
-                "degrees": sorted(degrees[i] for i in first),
-                "vectors": [list(vectors[i]) for i in first],
-                "subsets_certified": len(certified),
-                "unique_multiset": len(multisets) == 1,
-                "candidates_considered": len(vectors),
-            })
-            return report
+        vectors = []
+        for b in range(1, config.entry_bound + 1):
+            if len(layers) < b:
+                layers.append(next(fresh))
+            found = perp_candidates(q, d, layers[b - 1], side, schur.witness,
+                                    config.trials, field, rng)
+            if not found:
+                continue
+            vectors = sorted(vectors + found)
+            chi, degrees = _weights(q, d, vectors, side)
+            degrees = degrees.tolist()
+            certified = [ss for ss in degree_sum_check(degrees, k_target, n)
+                         if (chi[list(ss)].sum(axis=0) == chi_f).all()]
+            if certified:
+                multisets = {tuple(sorted(degrees[i] for i in ss)) for ss in certified}
+                first = certified[0]
+                report.update({
+                    "certified": True,
+                    "side": side,
+                    "degrees": sorted(degrees[i] for i in first),
+                    "vectors": [list(vectors[i]) for i in first],
+                    "subsets_certified": len(certified),
+                    "unique_multiset": len(multisets) == 1,
+                    "candidates_considered": len(vectors),
+                    "search_bound": b,
+                })
+                return report
     report["reason"] = "no subset of candidate degrees certified against f"
     return report
 

@@ -3,12 +3,14 @@ integer coefficients, the full expansion of a Saito determinant (gated to
 low dimension), and an exact Gram-rank irreducibility certificate for
 quadratics. The operation set is minimal: ring arithmetic and a memoized
 determinant expansion. Also a fraction-free determinant over Q, independent
-of the library's elimination, and the characteristic-polynomial reference
-for the Dynkin / tame / wild split of a quiver.
+of the library's elimination, the characteristic-polynomial reference
+for the Dynkin / tame / wild split of a quiver, and the component-degree
+search over the whole root box at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,7 +19,10 @@ import numpy as np
 from qlfd.fields import QQ
 from qlfd.matrix import ExactMatrix
 from qlfd.poly import interpolate
-from qlfd.quiver import _radical_generator, cartan_matrix
+from qlfd.quiver import _radical_generator, cartan_matrix, rep_dimension
+from qlfd.reps import is_schur_root, perp_candidates
+from qlfd.roots import positive_real_roots
+from qlfd.saito import build_saito_matrix, component_degree
 
 
 class MultiPoly:
@@ -224,3 +229,56 @@ def graph_kind_by_char_poly(q):
         if delta is not None:
             return "tame", delta
     return "wild", None
+
+
+def full_box_degrees(q, d, config):
+    """certified, side, degrees and vectors of the degrees report of a
+    sincere pair (q, d) on a tree with q(d) = 1, from one plain search of
+    the whole root box, and under "subsets" the vectors of every certified
+    subset on that side, the reported one first.
+
+    The brick is drawn as the report draws it. Every positive real root with
+    entries <= config.entry_bound is tested, on the left side and then on the
+    right; each subset of #vertices - 1 candidates, in lexicographic order of
+    the candidates sorted by (-degree, vector), is certified when its degrees
+    sum to dim Rep and its characters to chi_f(i) = sum_{j->i} d_j -
+    sum_{i->j} d_j. The character of e is sum_{j->i} e_j - e_i on the left
+    and e_i - sum_{i->j} e_j on the right.
+    """
+    field, rng = config.field(), config.rng()
+    schur = is_schur_root(q, d, config.trials, field, rng,
+                          saito=build_saito_matrix(q, d))
+    if schur.value != "yes":
+        return {"certified": False}
+    arrows = q.arrow_indices()
+    size = q.n_vertices
+
+    def inflow(v, i):
+        return sum(v[s] for s, t in arrows if t == i)
+
+    def outflow(v, i):
+        return sum(v[t] for s, t in arrows if s == i)
+
+    def character(e, side):
+        if side == "left":
+            return [inflow(e, i) - e[i] for i in range(size)]
+        return [e[i] - outflow(e, i) for i in range(size)]
+
+    chi_f = [inflow(d, i) - outflow(d, i) for i in range(size)]
+    roots = positive_real_roots(q, config.entry_bound)
+    for side in ("left", "right"):
+        cands = perp_candidates(q, d, roots, side, schur.witness, config.trials,
+                                field, rng)
+        scored = sorted((-component_degree(q, d, e, side), e) for e in cands)
+        certified = [
+            subset for subset in itertools.combinations(scored, size - 1)
+            if -sum(deg for deg, _ in subset) == rep_dimension(q, d)
+            and [sum(col) for col in zip(*(character(e, side) for _, e in subset))]
+            == chi_f]
+        if certified:
+            return {"certified": True, "side": side,
+                    "degrees": sorted(-deg for deg, _ in certified[0]),
+                    "vectors": sorted(list(e) for _, e in certified[0]),
+                    "subsets": [sorted(list(e) for _, e in subset)
+                                for subset in certified]}
+    return {"certified": False}

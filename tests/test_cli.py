@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 import qlfd.cli
 import qlfd.roots
 import qlfd.saito
@@ -85,8 +87,8 @@ def test_degrees_d4(capsys):
 
 
 def test_degrees_wild_star_with_many_candidates(tmp_path, capsys):
-    # f = x1 ... x5 on a five-arm star; the subset search walks 1,038 scored
-    # candidates, more than the interpreter's recursion limit has frames
+    # f = x1 ... x5 on a five-arm star, which has 1,038 candidates on the left
+    # up to entry bound 12; the search stops at box 1, with 14 of them
     star = tmp_path / "star.json"
     star.write_text(json.dumps({
         "vertices": ["1", "2", "3", "4", "5", "6"],
@@ -95,7 +97,8 @@ def test_degrees_wild_star_with_many_candidates(tmp_path, capsys):
     code, report = run(capsys, "degrees", str(star))
     assert code == 0
     assert report["certified"] is True
-    assert report["candidates_considered"] == 1038
+    assert report["candidates_considered"] == 14
+    assert report["search_bound"] == 1
     assert report["degrees"] == [1, 1, 1, 1, 1]
 
 
@@ -157,8 +160,14 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert main(["lfd", str(missing_dim)]) == 1
     capsys.readouterr()
     # dim must be an object of JSON integers: no lists, strings, floats or bools
-    for dim in ({"1": [1], "2": 1}, "12", {"1": 1.5, "2": 1}, {"1": True, "2": 1}):
-        data = {"vertices": ["1", "2"], "arrows": [["1", "2"]], "dim": dim}
+    # vertices must be an array and each arrow a two-element array
+    datas = [{"vertices": ["1", "2"], "arrows": [["1", "2"]], "dim": dim}
+             for dim in ({"1": [1], "2": 1}, "12", {"1": 1.5, "2": 1},
+                         {"1": True, "2": 1})]
+    datas += [{"vertices": vertices, "arrows": arrows, "dim": {"1": 1, "2": 1}}
+              for vertices, arrows in (("12", [["1", "2"]]), (["1", "2"], ["12"]),
+                                       (["1", "2"], [["1", "2", "2"]]))]
+    for data in datas:
         bad.write_text(json.dumps(data))
         assert main(["lfd", str(bad)]) == 1
         captured = capsys.readouterr()
@@ -177,6 +186,28 @@ def test_bad_config_is_a_json_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in json.loads(captured.err)
+
+
+def test_usage_errors_are_json_errors(capsys):
+    # exit code 2 is for inconclusive verdicts; a bad command line is exit 1
+    for argv in (["frob", path("a2.json")],
+                 ["--prime", "abc", "lfd", path("a2.json")],
+                 ["reflect", path("a2.json")],
+                 ["--format", "xml", "lfd", path("a2.json")],
+                 []):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "error" in json.loads(captured.err)
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["-h"], ["degrees", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qlfd")
 
 
 def test_text_format(capsys):

@@ -186,3 +186,14 @@ def test_json_errors():
     with pytest.raises(QuiverInputError):
         quiver_from_json({"vertices": ["1", "2"], "arrows": [["1", "2"]],
                           "dim": {"1": 1}})
+
+
+def test_json_takes_only_arrays():
+    # a string is not read as its characters, nor an arrow as its letters
+    for vertices, arrows in (("12", [["1", "2"]]), ({"1": 0, "2": 0}, [["1", "2"]]),
+                             (["1", "2"], ["12"]), (["1", "2"], [["1", "2", "2"]]),
+                             (["1", "2"], [["1"]]), (["1", "2"], "12"),
+                             (["1", "2"], [("1", "2")])):
+        with pytest.raises(QuiverInputError):
+            quiver_from_json({"vertices": vertices, "arrows": arrows,
+                              "dim": {"1": 1, "2": 1}})

@@ -173,12 +173,12 @@ def test_is_schur_root():
 def test_perp_candidates_a2():
     rng = random.Random(5)
     brick = is_schur_root(a2(), (1, 1), 3, F, rng).witness
-    cands = perp_candidates(a2(), (1, 1), positive_real_roots(a2(), 2), brick,
-                            3, F, rng)
-    as_set = {(c.vector, c.side) for c in cands}
-    assert ((1, 0), "left") in as_set
-    assert ((0, 1), "right") in as_set
-    assert all(c.vector != (1, 1) for c in cands)
+    roots = positive_real_roots(a2(), 2)
+    # <e, d> = 0 only for the source simple, <d, e> = 0 only for the sink one
+    assert perp_candidates(a2(), (1, 1), roots, "left", brick, 3, F, rng) == [(1, 0)]
+    assert perp_candidates(a2(), (1, 1), roots, "right", brick, 3, F, rng) == [(0, 1)]
+    with pytest.raises(QuiverInputError):
+        perp_candidates(a2(), (1, 1), roots, "both", brick, 3, F, rng)
 
 
 @pytest.mark.parametrize("field", [F, GF(7), QQ])
@@ -217,6 +217,14 @@ def test_rep_json_exact_entries():
     assert r.mats[0].rows == [[Fraction(1, 2), 3], [-2**70, Fraction(-7, 3)]]
     assert r.to_json()["mats"]["0"] == [["1/2", "3"], [str(-2**70), "-7/3"]]
     assert rep_from_json(q, r.to_json(), QQ).mats == r.mats
+
+
+def test_rep_json_dim_takes_only_integers():
+    q = a2()
+    for bad in (1.5, 2.0, True, "2", None):
+        data = {"dim": {"1": bad, "2": 1}, "modulus": F.p, "mats": {"0": [[1]]}}
+        with pytest.raises(QuiverInputError):
+            rep_from_json(q, data, F)
 
 
 def test_sampling_over_rationals():

@@ -10,7 +10,7 @@ from qlfd import (classify_graph, coxeter_matrix, defect, euler_matrix,
 from qlfd import quiver
 from qlfd.errors import CyclicQuiver, NotTame, QuiverInputError
 from qlfd.quiver import Quiver
-from qlfd.roots import topological_order
+from qlfd.roots import root_layers, topological_order
 
 from conftest import a2, a3, cycle, d4_in, kronecker, random_tree_quiver
 
@@ -145,6 +145,57 @@ def test_dynkin_positive_root_counts(name):
     roots = positive_real_roots(q, 6)
     assert len(roots) == DYNKIN_ROOT_COUNTS[name]
     assert all(tits_form(q, r) == 1 for r in roots)
+
+
+def _affine_edges(name):
+    """Edges of an extended Dynkin diagram: A~n is a cycle on n + 1 vertices,
+    D~n a path on n - 1 vertices with one more leaf at its second and at its
+    second-to-last vertex, E~n a star with arms of lengths (2, 2, 2),
+    (3, 3, 1) or (5, 2, 1) for n = 6, 7, 8."""
+    kind, n = name[0], int(name[2:])
+    if kind == "A":
+        return [(i, i % (n + 1) + 1) for i in range(1, n + 2)]
+    if kind == "D":
+        return [(i, i + 1) for i in range(1, n - 1)] + [(2, n), (n - 2, n + 1)]
+    edges, top = [], 1
+    for arm in {6: (2, 2, 2), 7: (3, 3, 1), 8: (5, 2, 1)}[n]:
+        edges += [(1 if i == 0 else top + i, top + i + 1) for i in range(arm)]
+        top += arm
+    return edges
+
+
+LAYER_SHAPES = ([f"A{n}" for n in range(1, 10)] + [f"D{n}" for n in range(4, 10)]
+                + ["E6", "E7", "E8"] + [f"A~{n}" for n in range(1, 9)]
+                + [f"D~{n}" for n in range(4, 9)] + ["E~6", "E~7", "E~8"])
+
+
+@pytest.mark.parametrize("name", LAYER_SHAPES)
+def test_root_layers_join_to_the_root_box(name):
+    rng = random.Random(name)
+    affine = "~" in name
+    n = int(name[2:]) + 1 if affine else int(name[1:])
+    arrows = tuple((str(u), str(v)) if rng.random() < 0.5 else (str(v), str(u))
+                   for u, v in (_affine_edges if affine else _dynkin_edges)(name))
+    q = Quiver(tuple(str(i) for i in range(1, n + 1)), arrows)
+    assert classify_graph(q).name == name
+    widest = positive_real_roots(q, 6)
+    for b in range(1, 7):
+        layers = list(root_layers(q, b))
+        assert len(layers) == b
+        assert all(layer == sorted(set(layer)) and all(max(r) == k for r in layer)
+                   for k, layer in enumerate(layers, 1))
+        joined = sorted(r for layer in layers for r in layer)
+        assert joined == positive_real_roots(q, b)
+        assert joined == [r for r in widest if max(r) <= b]
+    # a per-vertex box, as find_tubes passes delta, with some zero entries
+    box = tuple(classify_graph(q).delta) if affine else tuple(
+        rng.randrange(5) for _ in range(n))
+    layers = list(root_layers(q, box))
+    assert len(layers) == max(box)
+    assert all(max(r) == k for k, layer in enumerate(layers, 1) for r in layer)
+    joined = sorted(r for layer in layers for r in layer)
+    assert joined == positive_real_roots(q, box)
+    assert joined == [r for r in widest if all(x <= y for x, y in zip(r, box))]
 
 
 @settings(max_examples=20, deadline=None)

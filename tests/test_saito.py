@@ -23,8 +23,8 @@ from qlfd.saito import SaitoMatrix
 
 from conftest import (E7_JSON, a2, a3, cycle, d4_in, d4_out, kronecker,
                       random_tree_quiver)
-from oracle import (MultiPoly, bareiss_det, expand_f_symbolic, product,
-                    quadratic_gram_rank)
+from oracle import (MultiPoly, bareiss_det, expand_f_symbolic, full_box_degrees,
+                    product, quadratic_gram_rank)
 
 F = GF(2**31 - 1)
 CFG = Config()
@@ -266,6 +266,31 @@ def test_degrees_at_small_primes():
     for prime in (3, 5):
         report = component_degrees_report(q, (1, 1, 1, 1), Config(prime=prime))
         assert report["certified"] and report["degrees"] == [1, 1, 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_growing_box_matches_full_box_search(seed):
+    # Left is searched through the whole box before right, so the side is
+    # that of the full-box search, and the certified subset is one the full
+    # box certifies too. When f is reduced its components are the only
+    # certified subset, so the box the search stops at cannot change it.
+    rng = random.Random(seed)
+    q, d = _sincere_root(rng, rng.randint(2, 5), 3)
+    config = Config(entry_bound=4)
+    report = component_degrees_report(q, d, config)
+    ref = full_box_degrees(q, d, config)
+    assert report["certified"] == ref["certified"]
+    if not ref["certified"]:
+        return
+    assert report["side"] == ref["side"]
+    assert report["vectors"] in ref["subsets"]
+    assert 1 <= report["search_bound"] <= config.entry_bound
+    assert all(max(m) <= report["search_bound"] for m in report["vectors"])
+    if lfd_verdict(q, d, config).verdict == "linear_free":
+        assert len(ref["subsets"]) == 1
+        assert report["degrees"] == ref["degrees"]
+        assert report["vectors"] == ref["vectors"]
 
 
 @settings(max_examples=200, deadline=None)
