@@ -8,14 +8,10 @@ stored as tuples and never reordered.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from math import gcd
-
-import numpy as np
 
 from .errors import CyclicQuiver, DisconnectedQuiver, QuiverInputError
-from .fields import QQ
-from .matrix import ExactMatrix
 
 DimVector = tuple  # integer entries, one per vertex, in Quiver.vertices order
 
@@ -141,7 +137,12 @@ def is_tree(q: Quiver) -> bool:
 
 
 def check_dim(q: Quiver, d) -> DimVector:
-    d = tuple(int(x) for x in d)
+    """d as a tuple of Python ints; its entries must be integers, not floats
+    or strings, and there must be one per vertex."""
+    try:
+        d = tuple(map(operator.index, d))
+    except TypeError as exc:
+        raise QuiverInputError(f"dimension vector must hold integers: {exc}") from None
     if len(d) != q.n_vertices:
         raise QuiverInputError(
             f"dimension vector has length {len(d)}, expected {q.n_vertices}")
@@ -224,132 +225,94 @@ class GraphClass:
         return out
 
 
-def _leading_minors_positive(c_rows) -> bool:
-    """Sylvester's criterion: every leading principal minor D_k is > 0.
+def classify_graph(q: Quiver) -> GraphClass:
+    """Dynkin / tame / wild, read off the underlying graph of a connected quiver.
 
-    Gaussian elimination without row exchanges leaves D_k / D_(k-1) as the
-    k-th pivot, so the minors are all positive exactly when the pivots are,
-    and the first pivot <= 0 ends the elimination.
+    The Tits form q(d) = sum d_i^2 - sum_{i->j} d_i d_j depends only on the
+    underlying graph, and so does the answer:
+
+    - Gabriel (Manuscripta Math. 6, 1972): the form is positive definite
+      exactly when the graph is a Dynkin diagram A_n, D_n, E6, E7 or E8.
+    - Dlab and Ringel (Mem. AMS 173, 1976): it is positive semidefinite, and
+      not definite, exactly when the graph is a Euclidean diagram A~n, D~n,
+      E~6, E~7 or E~8; its radical is then spanned by the standard delta.
+      Every other connected graph contains a Euclidean diagram properly and
+      is wild.
+
+    One walk of the graph tells them apart. A loop is A~0 (delta = (1)) and
+    a double edge A~1 (delta = (1, 1)) only when nothing else is there. A
+    graph with as many edges as vertices is A~(n-1) when every vertex has
+    degree 2, delta all ones. A tree with no branch vertex is A_n; with one,
+    its sorted arm lengths, counted in vertices, decide:
+
+        (1, 1, k) D_n     (1, 2, 2) E6     (1, 2, 3) E7     (1, 2, 4) E8
+        (1, 1, 1, 1) D~4  (2, 2, 2) E~6    (1, 3, 3) E~7    (1, 2, 5) E~8
+
+    On the Euclidean stars delta is 2, 3, 4 or 6 at the centre and drops by
+    centre / (l + 1) at each step along an arm of l vertices, down to the
+    leaf: (2; 1, 1, 1, 1), (3; 2 1, 2 1, 2 1), (4; 2, 3 2 1, 3 2 1) and
+    (6; 3, 4 2, 5 4 3 2 1). A tree with two branch vertices, each of degree
+    3 with two leaves as neighbours, is D~(n-1), delta 1 at the four leaves
+    and 2 elsewhere. Everything else is wild.
     """
-    n = len(c_rows)
-    a = ExactMatrix(QQ, c_rows, shape=(n, n)).a.copy()
-    for k in range(n):
-        if a[k, k] <= 0:
-            return False
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k + 1:])
-    return True
-
-
-def _radical_generator(c_rows):
-    """Primitive generator of a one-dimensional kernel with all entries > 0."""
-    ker = ExactMatrix(QQ, c_rows).nullspace()
-    if ker.ncols != 1:
-        return None
-    col = ker.a[:, 0].tolist()
-    den = 1
-    for x in col:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in col]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    if all(x <= 0 for x in ints):
-        ints = [-x for x in ints]
-    if not all(x > 0 for x in ints):
-        return None
-    return tuple(ints)
-
-
-def _arm_lengths(q: Quiver, center):
-    """Lengths of the paths hanging off `center` in the underlying tree."""
-    adj = {v: [] for v in q.vertices}
-    for s, t in q.arrows:
-        adj[s].append(t)
-        adj[t].append(s)
-    arms = []
-    for w in adj[center]:
-        length = 1
-        prev, cur = center, w
-        while len(adj[cur]) == 2:
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    return sorted(arms)
-
-
-def _shape_name(q: Quiver, kind: str) -> str:
     n = q.n_vertices
-    pair_counts = {}
+    if not n:
+        raise QuiverInputError("classification requires at least one vertex")
+    if not q.is_connected():
+        raise DisconnectedQuiver("classification requires a connected quiver")
+    wild = GraphClass("wild", "wild")
+    adj = [[] for _ in range(n)]
     loops = 0
-    for s, t in q.arrows:
+    for s, t in q.arrow_indices():
         if s == t:
             loops += 1
         else:
-            key = frozenset((s, t))
-            pair_counts[key] = pair_counts.get(key, 0) + 1
+            adj[s].append(t)
+            adj[t].append(s)
     if loops:
-        return "A~0" if (n == 1 and loops == 1 and kind == "tame") else kind
-    if any(c > 1 for c in pair_counts.values()):
-        return "A~1" if (n == 2 and q.n_arrows == 2 and kind == "tame") else kind
-    degrees = {v: 0 for v in q.vertices}
-    for s, t in q.arrows:
-        degrees[s] += 1
-        degrees[t] += 1
-    if q.n_arrows == n and all(x == 2 for x in degrees.values()):
-        return f"A~{n - 1}"
-    if not is_tree(q):
-        return kind
-    branch = [v for v, x in degrees.items() if x >= 3]
+        return GraphClass("tame", "A~0", (1,)) if n == q.n_arrows == 1 else wild
+    if any(len(set(a)) < len(a) for a in adj):
+        return GraphClass("tame", "A~1", (1, 1)) if n == q.n_arrows == 2 else wild
+    if q.n_arrows >= n:
+        if q.n_arrows == n and all(len(a) == 2 for a in adj):
+            return GraphClass("tame", f"A~{n - 1}", (1,) * n)
+        return wild
+    branch = [v for v in range(n) if len(adj[v]) >= 3]
     if not branch:
-        return f"A{n}"
+        return GraphClass("dynkin", f"A{n}")
     if len(branch) == 1:
-        v = branch[0]
-        if degrees[v] == 4:
-            return "D~4" if n == 5 and _arm_lengths(q, v) == [1, 1, 1, 1] else kind
-        if degrees[v] > 4:
-            return kind
-        arms = _arm_lengths(q, v)
-        table = {
-            (1, 1, arms[2]): f"D{n}",
-            (1, 2, 2): "E6",
-            (1, 2, 3): "E7",
-            (1, 2, 4): "E8",
-            (2, 2, 2): "E~6",
-            (1, 3, 3): "E~7",
-            (1, 2, 5): "E~8",
-        }
-        return table.get(tuple(arms), kind)
-    if len(branch) == 2 and all(degrees[v] == 3 for v in branch):
-        if all(_arm_lengths(q, v)[:2] == [1, 1] for v in branch):
-            return f"D~{n - 1}"
-    return kind
-
-
-def classify_graph(q: Quiver) -> GraphClass:
-    """Dynkin / tame / wild by definiteness of the Cartan form.
-
-    Dynkin: positive definite, read off the leading principal minors of C.
-    Tame: positive semidefinite with a one-dimensional radical, whose
-    primitive positive generator delta is returned. Everything else is wild.
-
-    A radical generator u > 0 already makes C semidefinite: C is symmetric
-    with C_ij <= 0 off the diagonal, and Cu = 0 gives
-
-        x^T C x = 1/2 sum_{i != j} (-C_ij) u_i u_j (x_i/u_i - x_j/u_j)^2 >= 0.
-
-    So tame means exactly that the kernel of C is spanned by a positive vector.
-    """
-    if not q.is_connected():
-        raise DisconnectedQuiver("classification requires a connected quiver")
-    c = cartan_matrix(q)
-    if _leading_minors_positive(c):
-        return GraphClass("dynkin", _shape_name(q, "dynkin"))
-    delta = _radical_generator(c)
-    if delta is not None:
-        return GraphClass("tame", _shape_name(q, "tame"), delta)
-    return GraphClass("wild", "wild")
+        centre = branch[0]
+        arms = []
+        for w in adj[centre]:
+            arm, prev = [w], centre
+            while len(adj[arm[-1]]) == 2:
+                cur = arm[-1]
+                arm.append(adj[cur][0] if adj[cur][0] != prev else adj[cur][1])
+                prev = cur
+            arms.append(arm)
+        arms.sort(key=len)
+        lengths = tuple(map(len, arms))
+        if len(lengths) == 3 and lengths[:2] == (1, 1):
+            return GraphClass("dynkin", f"D{n}")
+        if lengths in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
+            return GraphClass("dynkin", f"E{n}")
+        euclidean = {(1, 1, 1, 1): ("D~4", 2), (2, 2, 2): ("E~6", 3),
+                     (1, 3, 3): ("E~7", 4), (1, 2, 5): ("E~8", 6)}
+        if lengths not in euclidean:
+            return wild
+        name, top = euclidean[lengths]
+        delta = [top] * n
+        for arm in arms:
+            step = top // (len(arm) + 1)
+            for i, v in enumerate(arm, 1):
+                delta[v] = top - i * step
+        return GraphClass("tame", name, tuple(delta))
+    if len(branch) == 2 and all(
+            len(adj[b]) == 3 and sum(len(adj[w]) == 1 for w in adj[b]) == 2
+            for b in branch):
+        return GraphClass("tame", f"D~{n - 1}",
+                          tuple(1 if len(a) == 1 else 2 for a in adj))
+    return wild
 
 
 # -- stage grading ---------------------------------------------------------------
@@ -374,6 +337,8 @@ def stages(q: Quiver) -> Stages:
     Unique up to a shift on each connected component; exists for any tree.
     Raises CyclicQuiver when the constraints are inconsistent.
     """
+    if not q.n_vertices:
+        raise QuiverInputError("stages requires at least one vertex")
     if not q.is_connected():
         raise DisconnectedQuiver("stages requires a connected quiver")
     h = {q.vertices[0]: 0}
@@ -417,8 +382,8 @@ def quiver_to_json(q: Quiver, d=None) -> dict:
 def quiver_from_json(data):
     """Parse {"vertices": [...], "arrows": [[s,t],...], "dim": {v: n}}.
 
-    vertices must be an array, each arrow a two-element array and each dim
-    entry an integer; nothing else is read as one of them.
+    vertices must be a non-empty array, each arrow a two-element array and
+    each dim entry an integer; nothing else is read as one of them.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -426,8 +391,8 @@ def quiver_from_json(data):
         vertices, arrows = data["vertices"], data["arrows"]
     except (KeyError, TypeError) as exc:
         raise QuiverInputError(f"malformed quiver JSON: {exc}") from exc
-    if not isinstance(vertices, list):
-        raise QuiverInputError("vertices must be an array")
+    if not isinstance(vertices, list) or not vertices:
+        raise QuiverInputError("vertices must be a non-empty array")
     if not (isinstance(arrows, list)
             and all(isinstance(a, list) and len(a) == 2 for a in arrows)):
         raise QuiverInputError("arrows must be an array of [source, target] arrays")

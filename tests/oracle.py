@@ -3,9 +3,9 @@ integer coefficients, the full expansion of a Saito determinant (gated to
 low dimension), and an exact Gram-rank irreducibility certificate for
 quadratics. The operation set is minimal: ring arithmetic and a memoized
 determinant expansion. Also a fraction-free determinant over Q, independent
-of the library's elimination, the characteristic-polynomial reference
-for the Dynkin / tame / wild split of a quiver, and the component-degree
-search over the whole root box at once.
+of the library's elimination, the characteristic-polynomial and nullspace
+reference for the Dynkin / tame / wild split of a quiver, and the
+component-degree search over the whole root box at once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from qlfd.fields import QQ
 from qlfd.matrix import ExactMatrix
 from qlfd.poly import interpolate
-from qlfd.quiver import _radical_generator, cartan_matrix, rep_dimension
+from qlfd.quiver import cartan_matrix, rep_dimension
 from qlfd.reps import is_schur_root, perp_candidates
 from qlfd.roots import positive_real_roots
 from qlfd.saito import build_saito_matrix, component_degree
@@ -213,6 +213,23 @@ def char_poly_coeff_signs(c_rows):
     return [(-1) ** k * coeffs[n - k] for k in range(n + 1)]
 
 
+def radical_generator(c_rows):
+    """Primitive generator of a one-dimensional kernel with all entries > 0."""
+    ker = ExactMatrix(QQ, c_rows).nullspace()
+    if ker.ncols != 1:
+        return None
+    col = ker.a[:, 0].tolist()
+    den = math.lcm(*(x.denominator for x in col))
+    ints = [int(x * den) for x in col]
+    g = math.gcd(*ints)
+    ints = [x // g for x in ints]
+    if all(x <= 0 for x in ints):
+        ints = [-x for x in ints]
+    if not all(x > 0 for x in ints):
+        return None
+    return tuple(ints)
+
+
 def graph_kind_by_char_poly(q):
     """(kind, delta) of a connected quiver by the semidefiniteness test.
 
@@ -225,7 +242,7 @@ def graph_kind_by_char_poly(q):
     if all(bareiss_det([row[:k] for row in c[:k]]) > 0 for k in range(1, n + 1)):
         return "dynkin", None
     if all(x >= 0 for x in char_poly_coeff_signs(c)):
-        delta = _radical_generator(c)
+        delta = radical_generator(c)
         if delta is not None:
             return "tame", delta
     return "wild", None

@@ -215,3 +215,32 @@ def test_text_format(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("analyze:")
+
+
+def test_every_command_answers_degenerate_quivers_in_json(tmp_path, capsys):
+    # bad input never ends in a traceback: each command gives exit 0, 1 or 2
+    # and one JSON object, the report on stdout or the error on stderr
+    quivers = {
+        "empty": {"vertices": [], "arrows": [], "dim": {}},
+        "loop": {"vertices": ["1"], "arrows": [["1", "1"]], "dim": {"1": 1}},
+        "disconnected": {"vertices": ["1", "2"], "arrows": [],
+                         "dim": {"1": 1, "2": 1}},
+    }
+    commands = (["analyze"], ["lfd"], ["degrees"], ["tubes"], ["normal-form"],
+                ["reflect", "1"], ["homogeneity", "--split", "1,0:0,1"],
+                ["homogeneity", "--parts", "1"], ["homogeneity", "--parts", "1,0:0,1"])
+    for name, data in quivers.items():
+        file = tmp_path / f"{name}.json"
+        file.write_text(json.dumps(data))
+        for command in commands:
+            argv = [command[0], str(file)] + command[1:]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            out = captured.err if code == 1 else captured.out
+            assert (captured.out if code == 1 else captured.err) == "", argv
+            assert len(out.splitlines()) == 1, argv
+            assert isinstance(json.loads(out), dict), argv
+    for command in ("analyze", "tubes"):
+        assert main([command, str(tmp_path / "empty.json")]) == 1
+        assert "non-empty" in json.loads(capsys.readouterr().err)["error"]

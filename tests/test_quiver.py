@@ -1,10 +1,15 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlfd import (Quiver, cartan_matrix, classify_graph, euler_form,
-                  euler_matrix, is_tree, quiver_from_json, quiver_to_json,
-                  rep_dimension, sinks, sources, stages, sym_form, tits_form)
+                  euler_matrix, is_tree, lfd_verdict, quiver_from_json,
+                  quiver_to_json, rep_dimension, sinks, sources, stages,
+                  sym_form, tits_form)
 from qlfd.errors import CyclicQuiver, QuiverInputError
+from qlfd.quiver import check_dim
 from qlfd.roots import reflect
 
 from conftest import E7_JSON, a2, a3, cycle, d4_in, kronecker
@@ -85,8 +90,81 @@ def test_classify_at_a_pivot_that_is_not_positive(q, kind, delta):
     assert (kind, delta) == graph_kind_by_char_poly(q)
 
 
+def _star(*arms):
+    """A star: centre 0 and one path of each given number of vertices."""
+    edges, top = [], 0
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            top += 1
+            edges.append((prev, top))
+            prev = top
+    return top + 1, edges
+
+
+def _affine_d(n):
+    """D~n on n + 1 vertices: a path 0 ... n - 2 with one more leaf at 1 and
+    at n - 3."""
+    return n + 1, [(i, i + 1) for i in range(n - 2)] + [(1, n - 1), (n - 3, n)]
+
+
+def _cycle(n):
+    """A~(n-1): n vertices round a cycle, a loop when n = 1."""
+    return n, [(i, (i + 1) % n) for i in range(n)]
+
+
+NAMED_SHAPES = (
+    [(f"A{n}", (n, [(i, i + 1) for i in range(n - 1)])) for n in range(1, 10)]
+    + [(f"D{n}", _star(1, 1, n - 3)) for n in range(4, 10)]
+    + [(f"E{n}", _star(1, 2, n - 4)) for n in (6, 7, 8)]
+    + [(f"A~{n}", _cycle(n + 1)) for n in range(8)]
+    + [("D~4", _star(1, 1, 1, 1))] + [(f"D~{n}", _affine_d(n)) for n in range(5, 10)]
+    + [("E~6", _star(2, 2, 2)), ("E~7", _star(1, 3, 3)), ("E~8", _star(1, 2, 5))]
+    # near misses: each contains a Euclidean diagram properly
+    + [("wild", _star(1, 2, 6)), ("wild", _star(2, 2, 3)), ("wild", _star(1, 3, 4)),
+       ("wild", _star(1, 1, 1, 2)),
+       ("wild", (8, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 6), (6, 7)]))])
+
+
+@pytest.mark.parametrize("name, shape", NAMED_SHAPES,
+                         ids=[f"{name}-{n}" for name, (n, _) in NAMED_SHAPES])
+def test_classify_named_shapes(name, shape):
+    # vertex order, arrow order and orientation do not change the class
+    n, edges = shape
+    rng = random.Random(f"{name}-{n}")
+    labels = [str(i + 1) for i in range(n)]
+    rng.shuffle(labels)
+    arrows = [(labels[u], labels[v]) if rng.random() < 0.5 else (labels[v], labels[u])
+              for u, v in edges]
+    rng.shuffle(arrows)
+    q = Quiver(tuple(str(i + 1) for i in range(n)), tuple(arrows))
+    gc = classify_graph(q)
+    assert gc.name == name
+    assert gc.kind == ("wild" if name == "wild" else "tame" if "~" in name else "dynkin")
+    assert (gc.kind, gc.delta) == graph_kind_by_char_poly(q)
+
+
+def test_classify_and_stages_reject_a_quiver_without_vertices():
+    empty = Quiver((), ())
+    with pytest.raises(QuiverInputError):
+        classify_graph(empty)
+    with pytest.raises(QuiverInputError):
+        stages(empty)
+
+
+def test_check_dim_takes_integers_only():
+    q = a2()
+    assert check_dim(q, (np.int64(2), 1)) == (2, 1)
+    assert all(type(x) is int for x in check_dim(q, np.array([2, 1])))
+    for d in ((1.7, 1), (1.0, 1), ("1", 1), "11", (np.float64(1), 1), 3):
+        with pytest.raises(QuiverInputError):
+            check_dim(q, d)
+    with pytest.raises(QuiverInputError):
+        lfd_verdict(q, (1.7, 1))
+
+
 @st.composite
-def connected_quivers(draw, max_vertices=7):
+def connected_quivers(draw, max_vertices=10):
     """A random spanning tree plus a few extra arrows, loops allowed."""
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     vs = tuple(str(i + 1) for i in range(n))
@@ -186,6 +264,8 @@ def test_json_errors():
     with pytest.raises(QuiverInputError):
         quiver_from_json({"vertices": ["1", "2"], "arrows": [["1", "2"]],
                           "dim": {"1": 1}})
+    with pytest.raises(QuiverInputError):
+        quiver_from_json({"vertices": [], "arrows": [], "dim": {}})
 
 
 def test_json_takes_only_arrays():
