@@ -51,7 +51,15 @@ def reflect_quiver(q: Quiver, k) -> Quiver:
 
 
 def reflect_pair(q: Quiver, k, d):
-    return reflect_quiver(q, k), reflect(q, k, d)
+    """Reflect the quiver and the dimension vector at a source or sink k;
+    a reflected vector with a negative entry is no dimension vector."""
+    q_new = reflect_quiver(q, k)
+    d_new = reflect(q, k, d)
+    ki = q.vertex_index(k)
+    if d_new[ki] < 0:
+        raise QuiverInputError(
+            f"reflected dimension at vertex {k!r} is negative ({d_new[ki]})")
+    return q_new, d_new
 
 
 def reflect_representation(m: Representation, k) -> Representation:

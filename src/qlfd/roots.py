@@ -11,6 +11,7 @@ the validation lives in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CyclicQuiver, NotTame, QuiverInputError
 from .quiver import (Quiver, cartan_matrix, check_dim, classify_graph,
@@ -76,34 +77,41 @@ def root_layers(q: Quiver, bound):
     with q_Q = 1) under simple reflections inside the box; any positive real
     root in the box descends to a unit vector through the box, so this is
     exhaustive. Only the reflections that raise an entry are taken, as the
-    reverse of a descent raises one entry per step; the pairing reads the
-    nonzero entries of the Cartan row only. A raise never lowers the
-    largest entry, so a vector that leaves box b waits for the layer of its
-    largest entry, and each layer is complete when it is yielded.
+    reverse of a descent raises one entry per step. Each root travels with
+    its pairing vector Cv: the raise at j takes v_j to v_j - (Cv)_j and Cv
+    to Cv - (Cv)_j C e_j, so it reads one entry and updates only the
+    nonzero entries of column j. A raise never lowers the largest entry, so
+    a vector that leaves box b waits for the layer of its largest entry, and
+    each layer is complete when it is yielded.
     """
     n = q.n_vertices
     if isinstance(bound, int):
         box = (bound,) * n
     else:
         box = tuple(int(b) for b in bound)
-    c = cartan_matrix(q)
+    c = cartan_matrix(q)  # symmetric: row j is column j
     free = [(j, [(k, a) for k, a in enumerate(c[j]) if a])
             for j in range(n) if c[j][j] == 2]
-    waiting = {1: {tuple(int(i == j) for i in range(n)) for j, _ in free if box[j] >= 1}}
+    waiting = {1: {tuple(int(i == j) for i in range(n)): tuple(c[j])
+                   for j, _ in free if box[j] >= 1}}
     for b in range(1, max(box, default=0) + 1):
-        layer = waiting.pop(b, set())
-        frontier = list(layer)
+        layer = waiting.pop(b, {})
+        frontier = list(layer.items())
         while frontier:
-            v = frontier.pop()
-            for j, row in free:
-                x = v[j] - sum(a * v[k] for k, a in row)
-                if v[j] < x <= box[j]:
+            v, cv = frontier.pop()
+            for j, col in free:
+                s = cv[j]
+                x = v[j] - s
+                if s < 0 and x <= box[j]:
                     w = v[:j] + (x,) + v[j + 1:]
-                    if x > b:
-                        waiting.setdefault(x, set()).add(w)
-                    elif w not in layer:
-                        layer.add(w)
-                        frontier.append(w)
+                    found = layer if x <= b else waiting.setdefault(x, {})
+                    if w not in found:
+                        cw = list(cv)
+                        for k, a in col:
+                            cw[k] -= s * a
+                        found[w] = cw = tuple(cw)
+                        if x <= b:
+                            frontier.append((w, cw))
         yield sorted(layer)
 
 
@@ -125,7 +133,7 @@ class CoxeterMatrix:
         m = self.phi if steps >= 0 else self.phi_inv
         v = list(d)
         for _ in range(abs(steps)):
-            v = [sum(row[j] * v[j] for j in range(len(v))) for row in m]
+            v = [sum(map(mul, row, v)) for row in m]
         return tuple(v)
 
 
@@ -133,8 +141,11 @@ def coxeter_matrix(q: Quiver) -> CoxeterMatrix:
     """Phi = -E^{-1} E^t and its inverse, for an acyclic quiver.
 
     E = I - A with A nilpotent, so E^{-1} = sum_k A^k = P counts the paths
-    i -> j (the trivial ones included). With E^t = C - E this gives
-    Phi = I - P C and Phi^{-1} = -P^t E = I - P^t C, in exact integers.
+    i -> j (the trivial ones included). Then Phi = -P E^t = P A^t - P and
+    Phi^{-1} = -P^t E = P^t A - P^t: column k of Phi is minus column k of P
+    plus column j of P for each arrow k -> j, and column k of Phi^{-1} is
+    minus row k of P plus row i of P for each arrow i -> k. That is one
+    vector sum per arrow, in exact integers.
     """
     n = q.n_vertices
     succ = q.successors()
@@ -147,13 +158,13 @@ def coxeter_matrix(q: Quiver) -> CoxeterMatrix:
         for t in succ[i]:
             row = [x + y for x, y in zip(row, paths[t])]
         paths[i] = row
-    c = cartan_matrix(q)
-
-    def one_minus(p):
-        return tuple(tuple(int(i == j) - sum(p[i][k] * c[k][j] for k in range(n))
-                           for j in range(n)) for i in range(n))
-
-    return CoxeterMatrix(one_minus(paths), one_minus(list(zip(*paths))))
+    columns = list(zip(*paths))
+    phi = [[-x for x in col] for col in columns]  # columns of Phi
+    phi_inv = [[-x for x in row] for row in paths]  # columns of Phi^{-1}
+    for s, t in q.arrow_indices():
+        phi[s] = [x + y for x, y in zip(phi[s], columns[t])]
+        phi_inv[t] = [x + y for x, y in zip(phi_inv[t], paths[s])]
+    return CoxeterMatrix(tuple(zip(*phi)), tuple(zip(*phi_inv)))
 
 
 def tau_dim(q: Quiver, d, steps: int = 1):
@@ -201,10 +212,19 @@ class Tube:
 def find_tubes(q: Quiver):
     """Exceptional tubes of a tame acyclic quiver.
 
-    Enumerates real roots e with 0 < e < delta and defect 0, groups them
-    into Coxeter orbits, and keeps exactly the orbits whose members sum to
-    delta: those are the regular-simple classes, and the orbit length is
-    the tube period. Homogeneous (period-one) tubes are not enumerated.
+    The regular simples of an exceptional tube of period p are real roots
+    e < delta of defect 0 that the Coxeter matrix permutes cyclically, and
+    they sum to delta (Dlab and Ringel, Mem. AMS 173, 1976). So at a vertex
+    v with delta_v = 1, all but one of them have e_v = 0: they are roots of
+    the Dynkin diagram Q minus v, whose highest root is delta - e_v. The
+    search starts from the defect-zero roots in that box and follows each
+    Coxeter orbit while it stays inside [0, delta]; Phi keeps real roots
+    real and the defect fixed, so the orbits that close are those of the
+    regular real roots below delta, and the ones whose members sum to delta
+    are the tubes, the orbit length being the period. The periods p_i
+    satisfy sum (p_i - 1) = n - 2, so no orbit is longer than n - 1 and a
+    walk stops after n steps. Homogeneous (period-one) tubes are not
+    enumerated.
     """
     return _tubes(q, classify_graph(q))
 
@@ -217,40 +237,29 @@ def _tubes(q: Quiver, gc):
         raise CyclicQuiver("tube search needs an acyclic quiver")
     delta = gc.delta
     n = q.n_vertices
-    # regular simples are real roots below delta (which is imaginary, so not
-    # among them) with <e, delta> = e . E delta = 0; that is <delta, e> = 0,
-    # as delta is radical
-    e_delta = [sum(a * x for a, x in zip(row, delta)) for row in euler_matrix(q)]
-    cands = {e for e in positive_real_roots(q, delta)
-             if sum(a * x for a, x in zip(e, e_delta)) == 0}
+    v = delta.index(1)
+    # <e, delta> = e . E delta; it equals the defect <delta, e>, as delta
+    # is radical
+    e_delta = [sum(map(mul, row, delta)) for row in euler_matrix(q)]
+    starts = [e for e in positive_real_roots(q, delta[:v] + (0,) + delta[v + 1:])
+              if sum(map(mul, e, e_delta)) == 0]
 
     cox = coxeter_matrix(q)
     tubes = []
-    unvisited = set(cands)
-    while unvisited:
-        start = min(unvisited)
+    seen = set()
+    for start in starts:
+        if start in seen:
+            continue
         orbit = [start]
         cur = cox.apply(start)
-        guard = 0
-        while cur != start:
-            if cur not in cands:
-                # Orbit left the candidate set: not a regular class; drop it.
-                orbit = None
-                break
+        while (cur != start and len(orbit) < n
+               and all(0 <= x <= y for x, y in zip(cur, delta))):
             orbit.append(cur)
             cur = cox.apply(cur)
-            guard += 1
-            if guard > 4 * len(cands) + 16:
-                raise RuntimeError("Coxeter orbit failed to close")
-        if orbit is None:
-            unvisited.discard(start)
-            continue
-        unvisited.difference_update(orbit)
-        total = tuple(sum(v[i] for v in orbit) for i in range(n))
-        if total == delta:
+        seen.update(orbit)
+        if cur == start and tuple(map(sum, zip(*orbit))) == delta:
             lo = orbit.index(min(orbit))
-            rotated = tuple(orbit[(lo + i) % len(orbit)] for i in range(len(orbit)))
-            tubes.append(Tube(rotated, len(orbit)))
+            tubes.append(Tube(tuple(orbit[lo:] + orbit[:lo]), len(orbit)))
     tubes.sort(key=lambda t: (-t.period, t.simples[0]))
     return tubes
 

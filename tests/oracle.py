@@ -4,8 +4,10 @@ low dimension), and an exact Gram-rank irreducibility certificate for
 quadratics. The operation set is minimal: ring arithmetic and a memoized
 determinant expansion. Also a fraction-free determinant over Q, independent
 of the library's elimination, the characteristic-polynomial and nullspace
-reference for the Dynkin / tame / wild split of a quiver, and the
-component-degree search over the whole root box at once.
+reference for the Dynkin / tame / wild split of a quiver, the
+component-degree search over the whole root box at once, the positive real
+roots in a box as a plain reflection closure, and the tube search over every
+real root below delta.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import numpy as np
 from qlfd.fields import QQ
 from qlfd.matrix import ExactMatrix
 from qlfd.poly import interpolate
-from qlfd.quiver import cartan_matrix, rep_dimension
+from qlfd.quiver import cartan_matrix, classify_graph, euler_matrix, rep_dimension
 from qlfd.reps import is_schur_root, perp_candidates
-from qlfd.roots import positive_real_roots
+from qlfd.roots import Tube, coxeter_matrix, positive_real_roots
 from qlfd.saito import build_saito_matrix, component_degree
 
 
@@ -299,3 +301,61 @@ def full_box_degrees(q, d, config):
                     "subsets": [sorted(list(e) for _, e in subset)
                                 for subset in certified]}
     return {"certified": False}
+
+
+def reflection_closure_layers(q, box):
+    """The positive real roots in a per-vertex box, grouped as root_layers
+    yields them: the unit vectors at loop-free vertices closed under every
+    simple reflection r_j(v) = v - (Cv)_j e_j at a loop-free j, raising or
+    lowering, that keeps v inside [0, box]."""
+    n = q.n_vertices
+    c = cartan_matrix(q)
+    free = [j for j in range(n) if c[j][j] == 2]
+    found = {tuple(int(i == j) for i in range(n)) for j in free if box[j] >= 1}
+    frontier = list(found)
+    while frontier:
+        v = frontier.pop()
+        for j in free:
+            w = list(v)
+            w[j] -= sum(c[j][k] * v[k] for k in range(n))
+            w = tuple(w)
+            if w not in found and all(0 <= x <= b for x, b in zip(w, box)):
+                found.add(w)
+                frontier.append(w)
+    return [sorted(r for r in found if max(r) == b) for b in range(1, max(box, default=0) + 1)]
+
+
+def tubes_from_every_root(q):
+    """The exceptional tubes of a tame acyclic quiver, from every real root
+    below delta: the roots of defect 0 are grouped into Coxeter orbits, an
+    orbit that leaves that set is dropped, and the orbits whose members sum
+    to delta are the tubes, sorted as find_tubes sorts them."""
+    delta = classify_graph(q).delta
+    n = q.n_vertices
+    e_delta = [sum(a * x for a, x in zip(row, delta)) for row in euler_matrix(q)]
+    cands = {e for e in positive_real_roots(q, delta)
+             if sum(a * x for a, x in zip(e, e_delta)) == 0}
+    cox = coxeter_matrix(q)
+    tubes = []
+    unvisited = set(cands)
+    while unvisited:
+        start = min(unvisited)
+        orbit = [start]
+        cur = cox.apply(start)
+        while cur != start:
+            if cur not in cands:
+                orbit = None
+                break
+            orbit.append(cur)
+            cur = cox.apply(cur)
+            if len(orbit) > len(cands):
+                raise RuntimeError("Coxeter orbit failed to close")
+        if orbit is None:
+            unvisited.discard(start)
+            continue
+        unvisited.difference_update(orbit)
+        if tuple(sum(v[i] for v in orbit) for i in range(n)) == delta:
+            lo = orbit.index(min(orbit))
+            tubes.append(Tube(tuple(orbit[lo:] + orbit[:lo]), len(orbit)))
+    tubes.sort(key=lambda t: (-t.period, t.simples[0]))
+    return tubes

@@ -112,6 +112,21 @@ def test_reflect_and_normal_form(capsys):
     assert report["stage_count"] <= 2
 
 
+def test_reflect_rejects_a_negative_dimension(tmp_path, capsys):
+    cases = (({"vertices": ["1", "2"], "arrows": [], "dim": {"1": 1, "2": 1}},
+              "1", "vertex '1' is negative (-1)"),
+             ({"vertices": ["1", "2"], "arrows": [["1", "2"]], "dim": {"1": 0, "2": 1}},
+              "2", "vertex '2' is negative (-1)"))
+    for data, vertex, message in cases:
+        file = tmp_path / "q.json"
+        file.write_text(json.dumps(data))
+        assert main(["reflect", str(file), vertex]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in json.loads(captured.err)["error"]
+
+
 def test_normal_form_exact_step_budget(capsys):
     # d4 is bipartite already; e7 and e8 need exactly 4 and 11 steps
     for name, steps in (("d4.json", 0), ("e7.json", 4), ("e8.json", 11)):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from qlfd import (GF, bipartite_normal_form, end_dim, hom_ext,
+from qlfd import (GF, Quiver, bipartite_normal_form, end_dim, hom_ext,
                   prune_degenerate_arrow, reflect, reflect_quiver,
                   reflect_representation, sample_representation, stages,
                   tits_form)
 from qlfd.errors import NotInRepPrime, NotLfdShape, QuiverInputError
+from qlfd.reflections import reflect_pair
 from qlfd.reps import rep_from_coords
 
 from conftest import a2, a3, d4_in
@@ -28,6 +29,16 @@ def test_reflect_quiver_d4_center():
 def test_reflect_quiver_rejects_middle_vertex():
     with pytest.raises(QuiverInputError):
         reflect_quiver(a3((1, 1)), "2")
+
+
+def test_reflect_pair_rejects_a_negative_entry():
+    assert reflect_pair(a2(), "1", (1, 1)) == (reflect_quiver(a2(), "1"), (0, 1))
+    # an isolated vertex is a source and a sink; r_1(1, 1) = (-1, 1)
+    with pytest.raises(QuiverInputError, match=r"vertex '1' .*\(-1\)"):
+        reflect_pair(Quiver(("1", "2"), ()), "1", (1, 1))
+    # r_2(0, 1) = (0, -1) at the sink of 1 -> 2
+    with pytest.raises(QuiverInputError, match=r"vertex '2' .*\(-1\)"):
+        reflect_pair(a2(), "2", (0, 1))
 
 
 def test_reflect_representation_a2_source():

@@ -10,9 +10,11 @@ from qlfd import (classify_graph, coxeter_matrix, defect, euler_matrix,
 from qlfd import quiver
 from qlfd.errors import CyclicQuiver, NotTame, QuiverInputError
 from qlfd.quiver import Quiver
+from qlfd.quiver import cartan_matrix
 from qlfd.roots import root_layers, topological_order
 
 from conftest import a2, a3, cycle, d4_in, kronecker, random_tree_quiver
+from oracle import reflection_closure_layers, tubes_from_every_root
 
 
 def test_reflect_examples():
@@ -198,6 +200,23 @@ def test_root_layers_join_to_the_root_box(name):
     assert joined == [r for r in widest if all(x <= y for x, y in zip(r, box))]
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       n=st.integers(min_value=1, max_value=8),
+       loops=st.integers(min_value=0, max_value=2))
+def test_root_layers_match_the_reflection_closure(seed, n, loops):
+    # a random tree with up to two loops added, in a per-vertex box whose
+    # entries run from 0 to 4; the pairing walk must find what plain
+    # reflection finds
+    rng = random.Random(seed)
+    tree = random_tree_quiver(rng, n)
+    looped = tuple((v, v) for v in rng.sample(tree.vertices, min(loops, n)))
+    q = Quiver(tree.vertices, tree.arrows + looped)
+    box = tuple(rng.randrange(5) for _ in range(n))
+    assert list(root_layers(q, box)) == reflection_closure_layers(q, box)
+    assert list(root_layers(q, 3)) == reflection_closure_layers(q, (3,) * n)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6),
        n=st.integers(min_value=1, max_value=7))
@@ -243,6 +262,11 @@ def test_coxeter_matrix_from_path_counts(q):
     cm = coxeter_matrix(q)
     assert [list(r) for r in cm.phi] == [[-x for x in r] for r in _mat_mul(paths, et)]
     assert [list(r) for r in cm.phi_inv] == [[-x for x in r] for r in _mat_mul(pt, e)]
+    # the form I - PC, with C = E + E^t
+    c = cartan_matrix(q)
+    for p, m in ((paths, cm.phi), (pt, cm.phi_inv)):
+        assert [list(r) for r in m] == [[int(i == j) - x for j, x in enumerate(r)]
+                                        for i, r in enumerate(_mat_mul(p, c))]
     assert _mat_mul(cm.phi, cm.phi_inv) == ident
     assert all(type(x) is int for r in cm.phi + cm.phi_inv for x in r)
 
@@ -262,6 +286,58 @@ def test_tubes_sum_to_delta(e7_pair):
                 v = cm.apply(v)
                 assert v != s
             assert cm.apply(v) == s
+
+
+def _relabelled(rng, n, edges):
+    """The graph on vertices 1..n with edges given as pairs, each oriented at
+    random, the vertex labels shuffled and the vertex and arrow order too."""
+    label = dict(zip(range(1, n + 1), rng.sample([f"v{i}" for i in range(n)], n)))
+    arrows = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+              for u, v in edges]
+    rng.shuffle(arrows)
+    return Quiver(tuple(rng.sample(sorted(label.values()), n)), tuple(arrows))
+
+
+def _tube_test_quivers():
+    # every acyclic orientation of the cycles on 2-7 vertices
+    for n in range(2, 8):
+        edges = _affine_edges(f"A~{n - 1}")
+        for bits in itertools.product((0, 1), repeat=n):
+            arrows = tuple((str(v), str(u)) if flip else (str(u), str(v))
+                           for (u, v), flip in zip(edges, bits))
+            q = Quiver(tuple(str(i) for i in range(1, n + 1)), arrows)
+            if q.is_acyclic():
+                yield q
+    # random orientations and labellings of the other Euclidean trees
+    rng = random.Random(17)
+    for name in [f"D~{n}" for n in range(4, 9)] + ["E~6", "E~7", "E~8"]:
+        for _ in range(12):
+            yield _relabelled(rng, int(name[2:]) + 1, _affine_edges(name))
+
+
+def test_find_tubes_matches_the_search_over_every_root():
+    quivers = list(_tube_test_quivers())
+    assert len(quivers) == 336
+    for q in quivers:
+        tubes = find_tubes(q)
+        assert tubes == tubes_from_every_root(q)
+        assert sum(t.period - 1 for t in tubes) == q.n_vertices - 2
+
+
+@pytest.mark.parametrize("name", [s for s in LAYER_SHAPES if "~" in s])
+def test_tube_starts_are_the_roots_of_the_dynkin_part(name):
+    # with the entry at an extending vertex v (delta_v = 1) set to 0, the box
+    # delta holds exactly the positive roots of the Dynkin diagram Q minus v
+    rng = random.Random(name)
+    n = int(name[2:]) + 1
+    q = _relabelled(rng, n, _affine_edges(name))
+    delta = classify_graph(q).delta
+    extending = [v for v in range(n) if delta[v] == 1]
+    assert extending
+    dynkin = {"A": f"A{n - 1}", "D": f"D{n - 1}", "E": f"E{n - 1}"}[name[0]]
+    for v in extending:
+        box = delta[:v] + (0,) + delta[v + 1:]
+        assert len(positive_real_roots(q, box)) == DYNKIN_ROOT_COUNTS[dynkin]
 
 
 def test_find_tubes_needs_tame():
