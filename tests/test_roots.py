@@ -9,8 +9,7 @@ from qlfd import (classify_graph, coxeter_matrix, defect, euler_matrix,
                   tau_dim, tits_form, tube_chain_acyclic, tube_ext_nonzero)
 from qlfd import quiver
 from qlfd.errors import CyclicQuiver, NotTame, QuiverInputError
-from qlfd.quiver import Quiver
-from qlfd.quiver import cartan_matrix
+from qlfd.quiver import Quiver, cartan_matrix
 from qlfd.roots import root_layers, topological_order
 
 from conftest import a2, a3, cycle, d4_in, kronecker, random_tree_quiver
@@ -334,10 +333,9 @@ def test_tube_starts_are_the_roots_of_the_dynkin_part(name):
     delta = classify_graph(q).delta
     extending = [v for v in range(n) if delta[v] == 1]
     assert extending
-    dynkin = {"A": f"A{n - 1}", "D": f"D{n - 1}", "E": f"E{n - 1}"}[name[0]]
     for v in extending:
         box = delta[:v] + (0,) + delta[v + 1:]
-        assert len(positive_real_roots(q, box)) == DYNKIN_ROOT_COUNTS[dynkin]
+        assert len(positive_real_roots(q, box)) == DYNKIN_ROOT_COUNTS[f"{name[0]}{n - 1}"]
 
 
 def test_find_tubes_needs_tame():
