@@ -2,7 +2,7 @@
 discriminants in quiver representation spaces."""
 
 from .config import Config
-from .fields import DEFAULT_PRIME, GF, QQ
+from .fields import DEFAULT_PRIME, GF
 from .matrix import ExactMatrix
 from .poly import UnivariatePoly, interpolate
 from .quiver import (DimVector, GraphClass, Quiver, cartan_matrix,

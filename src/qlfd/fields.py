@@ -1,16 +1,14 @@
-"""Exact scalars: the rationals and prime fields F_p.
+"""Exact scalars: the prime fields F_p, the one field of the package.
 
-Elements are plain Python values (``fractions.Fraction`` over Q, ints in
-``[0, p)`` over F_p). A field object names the field and canonicalises
-scalars (``element``); arithmetic runs on whole arrays in ``matrix`` and
-``poly``, where a matrix and a polynomial are each one numpy array of such
-elements. No floating point anywhere.
+Elements are Python ints in ``[0, p)``. A field object names the field and
+canonicalises scalars (``element``); arithmetic runs on whole arrays in
+``matrix`` and ``poly``, where a matrix and a polynomial are each one int64
+array of residues. No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 DEFAULT_PRIME = 2**31 - 1
 
@@ -41,34 +39,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Rationals:
-    """The field Q; elements are Fraction."""
-
-    def element(self, x):
-        return x if isinstance(x, Fraction) else Fraction(x)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def random(self, rng):
-        # Small random rationals; integers suffice for genericity tests.
-        return Fraction(rng.randint(-99, 99))
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("QQ")
-
-
 class PrimeField:
     """The field F_p for an odd prime p < 2^31; elements are ints in [0, p).
 
@@ -86,14 +56,6 @@ class PrimeField:
     def element(self, x):
         return int(x) % self.p
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
     def random(self, rng):
         return rng.randrange(self.p)
 
@@ -105,9 +67,6 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("GF", self.p))
-
-
-QQ = Rationals()
 
 
 @functools.lru_cache(maxsize=128)

@@ -1,12 +1,12 @@
-"""Dense exact matrices over Q or F_p: rank, nullspace, determinant, and
+"""Dense exact matrices over F_p: rank, nullspace, determinant, and
 matrices linear in a coordinate vector.
 
-A matrix is one numpy array: int64 entries in [0, p) over F_p, Fraction
-objects over Q. Every product of two residues stays below 2^62 for any
-modulus < 2^31, so the F_p kernels are exact in int64. One Gauss-Jordan
-elimination, _rref, serves both fields: rank and nullspace read its pivot
-columns, and the determinant is its scale, the product of the pivots with
-the sign of the row swaps, when every column has a pivot.
+A matrix is one int64 array of residues in [0, p). Every product of two
+residues stays below 2^62 for any modulus < 2^31, so the kernels are exact
+in int64. One Gauss-Jordan elimination, _rref, serves them all: rank and
+nullspace read its pivot columns, and the determinant is its scale, the
+product of the pivots with the sign of the row swaps, when every column has
+a pivot.
 
 LinearPencil.det_line turns the determinant of an n x n pencil along a
 line into its polynomial over F_p in one O(n^3) pass: one Gauss-Jordan
@@ -17,41 +17,43 @@ is moved along the line at most min(n + 1, p) times.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
 import numpy as np
 
-from .fields import QQ, PrimeField
 
-_to_int = np.frompyfunc(int, 1, 1)
-_to_fraction = np.frompyfunc(QQ.element, 1, 1)  # passes Fractions through
+def _integer(x):
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(
+            f"matrix entries must be integers, got {type(x).__name__} {x}") from None
 
 
-def _modulus(field):
-    return field.p if isinstance(field, PrimeField) else None
+_to_int = np.frompyfunc(_integer, 1, 1)
 
 
 def _entries(field, values, shape=None) -> np.ndarray:
-    """values (an array or nested lists) as a canonical array of the field.
+    """values (an array or nested lists of integers) as an int64 array of
+    residues mod p.
 
-    Exact for integers outside int64 and for strings such as "1/2", as the
-    scalar conversions int(x) % p and Fraction(x) are.
+    Exact for integers outside int64, as int(x) % p is. Any other entry, a
+    float or a string among them, raises ValueError; an integer array skips
+    that check.
     """
     a = np.asarray(values)  # ValueError on ragged rows
     if a.dtype.kind == "f" and not isinstance(values, np.ndarray):
-        a = np.array(values, dtype=object)  # mixed ints beyond int64, or floats
+        # numpy reads a list mixing ints with 2^63 or more as float64
+        a = np.array(values, dtype=object)
     if shape is not None:
         a = a.reshape(shape)
-    p = _modulus(field)
-    if p is None:
-        return _to_fraction(a)
     if a.dtype.kind not in "biu":
         a = _to_int(a)
-    return (a % p).astype(np.int64, copy=False)
+    return (a % field.p).astype(np.int64, copy=False)
 
 
 class ExactMatrix:
-    """A matrix over Q or F_p held as one read-only array `a`."""
+    """A matrix over F_p held as one read-only int64 array `a`."""
 
     __slots__ = ("field", "a")
 
@@ -73,10 +75,6 @@ class ExactMatrix:
         m.field = field
         m.a = a
         return m
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, np.eye(n, dtype=np.int64))
 
     @property
     def nrows(self):
@@ -107,37 +105,22 @@ class ExactMatrix:
     def transpose(self):
         return ExactMatrix._of(self.field, self.a.T)
 
-    def mul(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Exact product: Python-int (or Fraction) sums, reduced once mod p."""
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        p = _modulus(self.field)
-        prod = self.a.astype(object) @ other.a.astype(object)
-        return ExactMatrix(self.field, prod if p is None else prod % p)
-
-    def matvec(self, vec):
-        col = ExactMatrix(self.field, [[x] for x in vec], shape=(len(vec), 1))
-        return self.mul(col).a[:, 0].tolist()
-
     # -- elimination ---------------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form. Returns (matrix, pivot column list)."""
-        r, piv, _ = _rref(self.a.copy(), _modulus(self.field))
+        r, piv, _ = _rref(self.a.copy(), self.field.p)
         return ExactMatrix._of(self.field, r), piv
 
     def rank(self) -> int:
-        p = _modulus(self.field)
-        if p is not None:
-            return gf_rank(self.a, p)
-        return len(self.rref()[1])
+        return gf_rank(self.a, self.field.p)
 
     def nullspace(self) -> "ExactMatrix":
         """Kernel basis as matrix columns, pivot-ordered (deterministic)."""
         r, piv = self.rref()
         pivset = set(piv)
         free = [c for c in range(self.ncols) if c not in pivset]
-        basis = np.zeros((self.ncols, len(free)), dtype=self.a.dtype)
+        basis = np.zeros((self.ncols, len(free)), dtype=np.int64)
         basis[free, range(len(free))] = 1
         basis[piv] = -r.a[:len(piv)][:, free]
         return ExactMatrix(self.field, basis)
@@ -145,7 +128,7 @@ class ExactMatrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        return _det(self.a.copy(), _modulus(self.field))
+        return _det(self.a.copy(), self.field.p)
 
 
 class LinearPencil:
@@ -163,17 +146,16 @@ class LinearPencil:
         self.terms = np.asarray(terms, dtype=np.int64).reshape(-1, 4)
 
     def at(self, xvec, field) -> np.ndarray:
-        """M(x): a reduced int64 array over F_p, an object array over Q."""
+        """M(x) as a reduced int64 array."""
         rows, cols, coords, coeffs = self.terms.T
         x = _entries(field, xvec)
-        m = np.zeros((self.n, self.n), dtype=x.dtype)
-        np.add.at(m, (rows, cols), coeffs.astype(x.dtype) * x[coords])
-        p = _modulus(field)
-        return m if p is None else m % p
+        m = np.zeros((self.n, self.n), dtype=np.int64)
+        np.add.at(m, (rows, cols), coeffs * x[coords])
+        return m % field.p
 
     def det(self, x, field):
         """det M(x) at the point x."""
-        return _det(self.at(x, field), _modulus(field))
+        return _det(self.at(x, field), field.p)
 
     def det_line(self, a, b, field):
         """Coefficients, low to high, of t -> det M(a + t b) over F_p, or None.
@@ -204,12 +186,11 @@ class LinearPencil:
 # -- array kernels -----------------------------------------------------------
 
 
-def _rref(a: np.ndarray, p=None):
-    """Gauss-Jordan elimination in place on canonical entries: mod p, or
-    over Q (an array of Fractions) when p is None. The pivot of a column is
-    its entry in the next pivot row when that is nonzero, else the first
-    nonzero entry below it; only rows with a nonzero entry in the pivot
-    column are updated.
+def _rref(a: np.ndarray, p: int):
+    """Gauss-Jordan elimination mod p in place on residues. The pivot of a
+    column is its entry in the next pivot row when that is nonzero, else the
+    first nonzero entry below it; only rows with a nonzero entry in the
+    pivot column are updated.
 
     Returns (a, pivot columns, scale), where scale is the product of the
     pivots with the sign of the row swaps: the determinant of the square
@@ -229,31 +210,25 @@ def _rref(a: np.ndarray, p=None):
             pr = r + 1 + int(nz[0])
             a[[r, pr]] = a[[pr, r]]
             scale = -scale
-        if p is None:
-            scale *= a[r, c]
-            a[r] = a[r] / a[r, c]
-        else:
-            pivot = int(a[r, c])
-            scale = scale * pivot % p
-            a[r] = a[r] * pow(pivot, -1, p) % p
+        pivot = int(a[r, c])
+        scale = scale * pivot % p
+        a[r] = a[r] * pow(pivot, -1, p) % p
         col = a[:, c].copy()
         col[r] = 0
         mask = col.nonzero()[0]
         if mask.size:
             # row r is zero left of column c, so those columns stay as they are
-            upd = a[mask, c:] - col[mask, None] * a[r, c:]
-            a[mask, c:] = upd if p is None else upd % p
+            a[mask, c:] = (a[mask, c:] - col[mask, None] * a[r, c:]) % p
         piv.append(c)
     return a, piv, scale
 
 
-def _det(a: np.ndarray, p=None):
-    """Determinant of a square array of canonical entries, mod p or over Q
-    when p is None: the scale of _rref when every column has a pivot (1 for
-    a 0 x 0 array), else 0. Eliminates a in place."""
+def _det(a: np.ndarray, p: int) -> int:
+    """Determinant mod p of a square array of residues: the scale of _rref
+    when every column has a pivot (1 for a 0 x 0 array), else 0. Eliminates
+    a in place."""
     _, piv, scale = _rref(a, p)
-    det = scale if len(piv) == a.shape[1] else 0
-    return det if p is not None else Fraction(det)
+    return scale if len(piv) == a.shape[1] else 0
 
 
 def _gf_charpoly(h: np.ndarray, p: int) -> list:

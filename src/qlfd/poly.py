@@ -1,20 +1,17 @@
-"""Dense univariate polynomials over an exact field: gcd, squarefreeness,
+"""Dense univariate polynomials over F_p: gcd, squarefreeness,
 interpolation.
 
-A polynomial is one numpy array of coefficients, low to high, with no
-trailing zero: int64 residues in [0, p) over F_p, Fraction objects over Q,
-built by the same conversion as an ExactMatrix. Division and gcd run on
-slices of that array, with one branch between the two fields as in
-matrix._rref (Cohen, A Course in Computational Algebraic Number Theory,
-Ch. 3).
+A polynomial is one int64 array of coefficients, low to high, with no
+trailing zero: residues in [0, p), built by the same conversion as an
+ExactMatrix. Division and gcd run on slices of that array (Cohen, A Course
+in Computational Algebraic Number Theory, Ch. 3).
 
 Restrictions of determinants to lines over F_p come from
 LinearPencil.det_line. interpolate is its independent test reference:
 Newton divided differences on scalars, sharing no code with the kernel.
 
 Squarefreeness is tested via gcd(a, a'); in characteristic p this is only
-valid when p exceeds the degree, which callers must guarantee (PrimeTooSmall
-otherwise).
+valid when p exceeds the degree (PrimeTooSmall otherwise).
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PrimeTooSmall
-from .matrix import _entries, _modulus
+from .matrix import _entries
 
 
 def _trim(a: np.ndarray) -> np.ndarray:
@@ -33,23 +30,22 @@ def _trim(a: np.ndarray) -> np.ndarray:
     return a[:n]
 
 
-def _divmod(a: np.ndarray, b: np.ndarray, p=None):
-    """Quotient and remainder arrays of a by b (b nonzero): mod p, or over Q
-    when p is None. Each product of two residues is below 2^62."""
+def _divmod(a: np.ndarray, b: np.ndarray, p: int):
+    """Quotient and remainder arrays mod p of a by b (b nonzero). Each
+    product of two residues is below 2^62."""
     d = len(b) - 1
     rem = a.copy()
-    quot = np.empty(max(0, len(a) - d), dtype=a.dtype)  # every entry is set below
-    inv = 1 / b[-1] if p is None else pow(int(b[-1]), -1, p)
+    quot = np.empty(max(0, len(a) - d), dtype=np.int64)  # every entry is set below
+    inv = pow(int(b[-1]), -1, p)
     for i in range(len(a) - 1, d - 1, -1):
-        c = rem[i] * inv if p is None else int(rem[i]) * inv % p
+        c = int(rem[i]) * inv % p
         quot[i - d] = c
-        upd = rem[i - d:i + 1] - c * b
-        rem[i - d:i + 1] = upd if p is None else upd % p
+        rem[i - d:i + 1] = (rem[i - d:i + 1] - c * b) % p
     return quot, _trim(rem[:d])
 
 
 class UnivariatePoly:
-    """A polynomial over Q or F_p held as one read-only coefficient array `a`."""
+    """A polynomial over F_p held as one read-only int64 coefficient array `a`."""
 
     __slots__ = ("field", "a")
 
@@ -94,47 +90,32 @@ class UnivariatePoly:
     def __repr__(self):
         return f"UnivariatePoly({self.field}, {self.coeffs})"
 
-    def evaluate(self, x):
-        f = self.field
-        x = f.element(x)
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = f.element(acc * x + c)
-        return acc
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quot, rem = _divmod(self.a, other.a, _modulus(self.field))
-        return self._of(self.field, quot), self._of(self.field, rem)
-
     def derivative(self):
-        p = _modulus(self.field)
         d = self.a[1:] * np.arange(1, len(self.a))
-        return self._of(self.field, _trim(d if p is None else d % p))
+        return self._of(self.field, _trim(d % self.field.p))
 
     def gcd(self, other):
         """Monic gcd by the Euclidean algorithm."""
-        p = _modulus(self.field)
+        p = self.field.p
         a, b = self.a, other.a
         while b.size:
             a, b = b, _divmod(a, b, p)[1]
         if a.size:
-            a = a / a[-1] if p is None else a * pow(int(a[-1]), -1, p) % p
+            a = a * pow(int(a[-1]), -1, p) % p
         return self._of(self.field, a)
 
     def is_squarefree(self) -> bool:
         """gcd(a, a') is constant.
 
-        Valid over Q, and over F_p only when p > degree (the derivative may
-        otherwise kill genuine repeated factors).
+        Valid only when p > degree (the derivative may otherwise kill
+        genuine repeated factors).
         """
         if self.is_zero():
             return False
         if self.is_constant():
             return True
-        p = _modulus(self.field)
-        if p is not None and p <= self.degree:
+        p = self.field.p
+        if p <= self.degree:
             raise PrimeTooSmall(
                 f"squarefreeness over GF({p}) needs p > degree {self.degree}")
         return self.gcd(self.derivative()).is_constant()
@@ -150,14 +131,13 @@ def interpolate(field, points) -> UnivariatePoly:
     xs = [x for x, _ in pts]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    p = _modulus(field)
+    p = field.p
     n = len(pts)
     coef = [y for _, y in pts]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             den = xs[i] - xs[i - j]
-            inv = 1 / den if p is None else pow(den, -1, p)
-            coef[i] = field.element((coef[i] - coef[i - 1]) * inv)
+            coef[i] = field.element((coef[i] - coef[i - 1]) * pow(den, -1, p))
     # Horner on the Newton form: poly <- coef[k] + (t - x_k) poly
     poly = []
     for k in reversed(range(n)):

@@ -1,6 +1,6 @@
-"""Concrete quiver representations: points of the representation space,
-Hom/Ext dimensions via the standard four-term exact sequence, brick and
-Schur-root sampling, and orthogonal-category candidate search.
+"""Concrete quiver representations over F_p: points of the representation
+space, Hom/Ext dimensions via the standard four-term exact sequence, brick
+and Schur-root sampling, and orthogonal-category candidate search.
 
 Flattening convention, fixed once: coordinates of the representation space
 are ordered arrow by arrow (quiver arrow order), column-major within each
@@ -20,7 +20,6 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import QuiverInputError
-from .fields import PrimeField
 from .matrix import ExactMatrix, _entries
 from .quiver import Quiver, check_dim, euler_matrix, is_positive
 
@@ -43,24 +42,27 @@ class Representation:
                     f"arrow matrix shape {m.shape} != ({d[t]}, {d[s]})")
 
     def to_json(self):
-        mod = self.field.p if isinstance(self.field, PrimeField) else None
         return {
             "dim": {v: int(x) for v, x in zip(self.quiver.vertices, self.dim)},
-            "modulus": mod,
-            "mats": {str(i): [[int(x) if mod else str(x) for x in row]
-                              for row in m.rows]
-                     for i, m in enumerate(self.mats)},
+            "modulus": self.field.p,
+            "mats": {str(i): m.rows for i, m in enumerate(self.mats)},
         }
 
 
 def rep_from_json(q: Quiver, data, field) -> Representation:
+    """The representation that to_json wrote, read over the field it names."""
+    if "modulus" in data and data["modulus"] != field.p:
+        raise QuiverInputError(
+            f"representation written mod {data['modulus']}, read over {field}")
     d = tuple(data["dim"][v] for v in q.vertices)
     if not all(type(x) is int for x in d):
         raise QuiverInputError(f"dim entries must be integers, got {list(d)}")
     mats = []
     for i, (s, t) in enumerate(q.arrow_indices()):
-        rows = data["mats"][str(i)]
-        mats.append(ExactMatrix(field, rows, shape=(d[t], d[s])))
+        try:
+            mats.append(ExactMatrix(field, data["mats"][str(i)], shape=(d[t], d[s])))
+        except ValueError as err:
+            raise QuiverInputError(f"matrix of arrow {i}: {err}") from None
     return Representation(q, d, tuple(mats), field)
 
 
@@ -89,8 +91,11 @@ def rep_from_coords(q: Quiver, d, coords, field) -> Representation:
     return Representation(q, d, mats, field)
 
 
-def coords_from_rep(m: Representation):
-    return [x for mat in m.mats for x in mat.a.T.ravel().tolist()]
+def coords_from_rep(m: Representation) -> np.ndarray:
+    """The coordinate vector of m: its arrow blocks, each column-major, as
+    one int64 array (empty when the quiver has no arrows)."""
+    blocks = [mat.a.T.ravel() for mat in m.mats]
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
 
 
 def sample_representation(q: Quiver, d, field, rng) -> Representation:
@@ -134,8 +139,7 @@ def build_c_matrix(m: Representation, n: Representation) -> ExactMatrix:
     arrows = q.arrow_indices()
     col_off = list(accumulate((md[i] * nd[i] for i in range(q.n_vertices)), initial=0))
     row_off = list(accumulate((md[s] * nd[t] for s, t in arrows), initial=0))
-    dtype = np.int64 if isinstance(field, PrimeField) else object
-    c = np.full((row_off[-1], col_off[-1]), field.zero, dtype=dtype)
+    c = np.zeros((row_off[-1], col_off[-1]), dtype=np.int64)
     for (s, t), r0, r1, f, g in zip(arrows, row_off, row_off[1:], m.mats, n.mats):
         # f is md[t] x md[s], g is nd[t] x nd[s]
         c[r0:r1, col_off[t]:col_off[t + 1]] += _kron(f.a.T, np.eye(nd[t], dtype=np.int64))

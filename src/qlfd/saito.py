@@ -157,6 +157,10 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
     if primes is None:
         primes = (2**31 - 1,)
     primes = tuple(primes)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not primes:
+        raise ValueError("primes must not be empty")
     n = s.n
     rng = random.Random(seed)
     saw_nonzero = False

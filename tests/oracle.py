@@ -2,12 +2,13 @@
 integer coefficients, the full expansion of a Saito determinant (gated to
 low dimension), and an exact Gram-rank irreducibility certificate for
 quadratics. The operation set is minimal: ring arithmetic and a memoized
-determinant expansion. Also a fraction-free determinant over Q, independent
-of the library's elimination, the characteristic-polynomial and nullspace
-reference for the Dynkin / tame / wild split of a quiver, the
-component-degree search over the whole root box at once, the positive real
-roots in a box as a plain reflection closure, and the tube search over every
-real root below delta.
+determinant expansion. Also exact linear algebra over Q, independent of the
+library's arithmetic mod p (a fraction-free determinant, a Gauss-Jordan
+elimination and Newton interpolation on Fractions), the
+characteristic-polynomial and nullspace reference for the Dynkin / tame /
+wild split of a quiver, the component-degree search over the whole root
+box at once, the positive real roots in a box as a plain reflection
+closure, and the tube search over every real root below delta.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from qlfd.fields import QQ
-from qlfd.matrix import ExactMatrix
-from qlfd.poly import interpolate
 from qlfd.quiver import cartan_matrix, classify_graph, euler_matrix, rep_dimension
 from qlfd.reps import is_schur_root, perp_candidates
 from qlfd.roots import Tube, coxeter_matrix, positive_real_roots
@@ -159,7 +157,7 @@ def quadratic_gram_rank(p: MultiPoly) -> int:
     for mono, c in p.terms.items():
         i, j = (i for i, e in enumerate(mono) for _ in range(e))
         g[i, j] = g[j, i] = Fraction(c, 1 if i == j else 2)
-    return ExactMatrix(QQ, g).rank()
+    return len(rref_q(g)[1])
 
 
 def expand_f_symbolic(s, expand_limit: int = 8) -> MultiPoly:
@@ -204,23 +202,61 @@ def bareiss_det(rows) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1]) / scale if n else Fraction(1)
 
 
+def rref_q(rows):
+    """(reduced row echelon form, pivot columns) over Q of a matrix of
+    integers or Fractions, by plain Gauss-Jordan elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in np.asarray(rows, dtype=object).tolist()]
+    piv = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(piv)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = [x - row[c] * y for x, y in zip(row, m[r])]
+        piv.append(c)
+    return m, piv
+
+
+def interpolate_q(points):
+    """Coefficients over Q, low to high, of the polynomial of degree
+    < len(points) through the (x, y) pairs: Newton divided differences on
+    Fractions, one coefficient per point."""
+    points = list(points)
+    xs = [Fraction(x) for x, _ in points]
+    coef = [Fraction(y) for _, y in points]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = []
+    for k in reversed(range(n)):
+        poly = [c - xs[k] * h for c, h in zip([coef[k]] + poly, poly + [0])]
+    return poly
+
+
 def char_poly_coeff_signs(c_rows):
     """Coefficients e_k (sums of k x k principal minors) of det(tI - C)."""
     n = len(c_rows)
     c = np.array(c_rows, dtype=object).reshape(n, n)
     pts = [(t, bareiss_det(t * np.eye(n, dtype=np.int64) - c)) for t in range(n + 1)]
-    p = interpolate(QQ, pts)
-    coeffs = p.coeffs + [Fraction(0)] * (n + 1 - len(p.coeffs))
+    coeffs = interpolate_q(pts)
     # det(tI - C) = sum_k (-1)^k e_k t^(n-k)
     return [(-1) ** k * coeffs[n - k] for k in range(n + 1)]
 
 
 def radical_generator(c_rows):
     """Primitive generator of a one-dimensional kernel with all entries > 0."""
-    ker = ExactMatrix(QQ, c_rows).nullspace()
-    if ker.ncols != 1:
+    red, piv = rref_q(c_rows)
+    free = [c for c in range(len(c_rows)) if c not in piv]
+    if len(free) != 1:
         return None
-    col = ker.a[:, 0].tolist()
+    col = [Fraction(1) if c in free else Fraction(0) for c in range(len(c_rows))]
+    for r, c in enumerate(piv):
+        col[c] = -red[r][free[0]]
     den = math.lcm(*(x.denominator for x in col))
     ints = [int(x * den) for x in col]
     g = math.gcd(*ints)
