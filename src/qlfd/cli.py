@@ -16,8 +16,7 @@ import json
 import sys
 
 from .config import Config
-from .errors import (CyclicQuiver, DisconnectedQuiver, NotLfdShape, NotTame,
-                     QuiverInputError, StepLimit)
+from .errors import CyclicQuiver, QuiverInputError, StepLimit
 from .quiver import (Quiver, cartan_matrix, classify_graph, euler_form,
                      euler_matrix, is_sincere, is_tree, quiver_from_json,
                      quiver_to_json, rep_dimension, sinks, sources, stages,
@@ -141,11 +140,10 @@ def cmd_homogeneity(q: Quiver, d, config: Config, args):
     d = _need_dim(d)
     out = {"command": "homogeneity", "quiver": quiver_to_json(q, d)}
     if args.split:
-        m_text, n_text = (args.split.split(":") + [None])[:2]
-        if n_text is None:
+        texts = args.split.split(":")
+        if len(texts) != 2:
             raise QuiverInputError("--split needs the form m1,m2,...:n1,n2,...")
-        m = _parse_vector(q, m_text)
-        n = _parse_vector(q, n_text)
+        m, n = (_parse_vector(q, t) for t in texts)
         found = euler_homogeneity_witness(q, d, (m, n))
         out.update({"split": [list(m), list(n)], "euler_witness": found})
         return out, EXIT_OK
@@ -210,11 +208,11 @@ def build_parser():
         p.set_defaults(run=run)
     sub.choices["reflect"].add_argument("vertex")
     sub.choices["normal-form"].add_argument("--max-steps", type=int, default=64)
-    p = sub.choices["homogeneity"]
-    p.add_argument("--split", default=None,
-                   help="two comma-separated vectors 'm1,..:n1,..'")
-    p.add_argument("--parts", default=None,
-                   help="colon-separated list of comma-separated vectors")
+    given = sub.choices["homogeneity"].add_mutually_exclusive_group()
+    given.add_argument("--split", default=None,
+                       help="two comma-separated vectors 'm1,..:n1,..'")
+    given.add_argument("--parts", default=None,
+                       help="colon-separated list of comma-separated vectors")
     return ap
 
 
@@ -225,8 +223,7 @@ def main(argv=None) -> int:
                         entry_bound=args.entry_bound)
         q, d = _load(args.path)
         report, code = args.run(q, d, config, args)
-    except (QuiverInputError, DisconnectedQuiver, CyclicQuiver, NotTame,
-            NotLfdShape, StepLimit, UsageError, ValueError) as exc:
+    except (ValueError, StepLimit, UsageError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return EXIT_INPUT
     _emit(report, args.format)

@@ -9,10 +9,21 @@ array of residues. No floating point anywhere.
 from __future__ import annotations
 
 import functools
+import operator
 
 DEFAULT_PRIME = 2**31 - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def integer(x) -> int:
+    """x as an int, for a Python or numpy integer; a float, a string or None
+    is a ValueError, never truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(
+            f"scalars must be integers, got {type(x).__name__} {x}") from None
 
 
 def is_prime(n: int) -> bool:
@@ -54,7 +65,7 @@ class PrimeField:
         self.p = p
 
     def element(self, x):
-        return int(x) % self.p
+        return integer(x) % self.p
 
     def random(self, rng):
         return rng.randrange(self.p)

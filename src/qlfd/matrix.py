@@ -17,20 +17,11 @@ is moved along the line at most min(n + 1, p) times.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
+from .fields import integer
 
-def _integer(x):
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(
-            f"matrix entries must be integers, got {type(x).__name__} {x}") from None
-
-
-_to_int = np.frompyfunc(_integer, 1, 1)
+_to_int = np.frompyfunc(integer, 1, 1)
 
 
 def _entries(field, values, shape=None) -> np.ndarray:

@@ -41,30 +41,6 @@ class Representation:
                 raise QuiverInputError(
                     f"arrow matrix shape {m.shape} != ({d[t]}, {d[s]})")
 
-    def to_json(self):
-        return {
-            "dim": {v: int(x) for v, x in zip(self.quiver.vertices, self.dim)},
-            "modulus": self.field.p,
-            "mats": {str(i): m.rows for i, m in enumerate(self.mats)},
-        }
-
-
-def rep_from_json(q: Quiver, data, field) -> Representation:
-    """The representation that to_json wrote, read over the field it names."""
-    if "modulus" in data and data["modulus"] != field.p:
-        raise QuiverInputError(
-            f"representation written mod {data['modulus']}, read over {field}")
-    d = tuple(data["dim"][v] for v in q.vertices)
-    if not all(type(x) is int for x in d):
-        raise QuiverInputError(f"dim entries must be integers, got {list(d)}")
-    mats = []
-    for i, (s, t) in enumerate(q.arrow_indices()):
-        try:
-            mats.append(ExactMatrix(field, data["mats"][str(i)], shape=(d[t], d[s])))
-        except ValueError as err:
-            raise QuiverInputError(f"matrix of arrow {i}: {err}") from None
-    return Representation(q, d, tuple(mats), field)
-
 
 # -- coordinates of the representation space ---------------------------------------
 
@@ -151,11 +127,6 @@ def build_c_matrix(m: Representation, n: Representation) -> ExactMatrix:
 class HomExtReport:
     hom: int
     ext: int
-    end: int = None  # = hom when the two sides coincide
-
-    @property
-    def euler(self):
-        return self.hom - self.ext
 
 
 def hom_ext(m: Representation, n: Representation) -> HomExtReport:
@@ -163,8 +134,7 @@ def hom_ext(m: Representation, n: Representation) -> HomExtReport:
     rk = c.rank()
     hom = c.ncols - rk
     ext = c.nrows - rk
-    end = hom if (m is n or (m.dim == n.dim and m.mats == n.mats)) else None
-    return HomExtReport(hom, ext, end)
+    return HomExtReport(hom, ext)
 
 
 def end_dim(m: Representation) -> int:

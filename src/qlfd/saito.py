@@ -419,25 +419,14 @@ class HomogeneityCertificate:
         return out
 
 
-def _ext_digraph_certificate(ext, route) -> HomogeneityCertificate:
-    """From a pairwise ext-nonvanishing table to an ordering or grouping."""
+def _weak_grouping(ext, route) -> HomogeneityCertificate:
+    """The first 2-grouping (G1, G2), in bitmask order of G2, with
+    ext(G2, G1) = 0, where ext[i][j] says Ext(part i, part j) != 0.
+
+    On an acyclic ext digraph that is G2 = {s} for the lowest-index sink s:
+    every G2 without ext into G1 contains a sink, so its bitmask is >= 1 << s.
+    """
     k = len(ext)
-    rigid = not any(ext[i][i] for i in range(k))
-    # Topological order of "i must come after j when ext[i][j] != 0".
-    order = topological_order([[j for j in range(k) if j != i and ext[i][j]]
-                               for i in range(k)])
-    acyclic = order is not None
-    if acyclic and rigid and route == "concrete":
-        return HomogeneityCertificate("quasihomogeneous", ordering=tuple(order),
-                                      route=route)
-    if acyclic:
-        # A sink of the ext digraph has no nonzero ext into the rest.
-        for i in range(k):
-            if not any(ext[i][j] for j in range(k) if j != i):
-                rest = tuple(j for j in range(k) if j != i)
-                return HomogeneityCertificate("weakly", grouping=(rest, (i,)),
-                                              route=route)
-    # Last resort: scan all 2-groupings for ext(G2, G1) = 0.
     for mask in range(1, 2 ** k - 1):
         g2 = [i for i in range(k) if mask >> i & 1]
         g1 = [i for i in range(k) if not mask >> i & 1]
@@ -451,13 +440,15 @@ def quasihom_certificate(q: Quiver, d, parts,
                          part_reps=None) -> HomogeneityCertificate:
     """Quasihomogeneity certificate for a point with the given decomposition.
 
-    With concrete representations for the parts the pairwise extension
-    dimensions are computed exactly; an ordering with vanishing ext on
-    non-inverted pairs certifies quasihomogeneity and a 2-grouping with
-    ext(second, first) = 0 certifies the weak form. Without representations,
-    tame regular parts are located inside the exceptional tubes and the tube
-    combinatorics decide nonvanishing; that route certifies at most the weak
-    form.
+    Whether Ext(part i, part j) vanishes is read from concrete
+    representations of the parts (exact Hom/Ext, route "concrete") or,
+    without them, from the tube combinatorics of tame regular parts located
+    inside the exceptional tubes (route "tube"). On the concrete route,
+    rigid parts whose ext digraph (i -> j when Ext(part i, part j) != 0) is
+    acyclic are certified quasihomogeneous by a topological order. Every
+    other case gets the weak certificate of _weak_grouping: the first
+    2-grouping (G1, G2), in bitmask order of G2, with ext(G2, G1) = 0. On an
+    acyclic ext digraph that grouping has only the lowest-index sink in G2.
     """
     d = check_dim(q, d)
     parts = [check_dim(q, m) for m in parts]
@@ -467,14 +458,21 @@ def quasihom_certificate(q: Quiver, d, parts,
     if len(parts) < 2:
         return HomogeneityCertificate("none_found",
                                       note="need at least two parts")
+    k = len(parts)
     if part_reps is not None:
-        if len(part_reps) != len(parts) or any(
+        if len(part_reps) != k or any(
                 r.dim != m for r, m in zip(part_reps, parts)):
             raise QuiverInputError("part representations do not match parts")
-        k = len(parts)
         ext = [[hom_ext(part_reps[i], part_reps[j]).ext > 0 for j in range(k)]
                for i in range(k)]
-        return _ext_digraph_certificate(ext, "concrete")
+        if not any(ext[i][i] for i in range(k)):
+            # i must come after j when ext[i][j] != 0
+            order = topological_order([[j for j in range(k) if j != i and ext[i][j]]
+                                       for i in range(k)])
+            if order is not None:
+                return HomogeneityCertificate("quasihomogeneous",
+                                              ordering=tuple(order), route="concrete")
+        return _weak_grouping(ext, "concrete")
 
     # Tube route on dimension vectors.
     from .roots import _tubes, tube_ext_nonzero
@@ -497,7 +495,6 @@ def quasihom_certificate(q: Quiver, d, parts,
                 note=f"part {m} not uniquely a regular brick "
                      f"({len(hits)} tube matches)")
         located.append(hits[0])
-    k = len(parts)
     ext = [[False] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
@@ -507,15 +504,7 @@ def quasihom_certificate(q: Quiver, d, parts,
             tj, sj, rj = located[j]
             if ti == tj:
                 ext[i][j] = tube_ext_nonzero(tubes[ti], (si, ri), (sj, rj))
-    cert = _ext_digraph_certificate(ext, "tube")
-    if cert.value == "quasihomogeneous":
-        # The earliest part in the ordering has no nonzero ext into the rest.
-        first = cert.ordering[0]
-        rest = tuple(i for i in cert.ordering[1:])
-        cert = HomogeneityCertificate("weakly", grouping=(rest, (first,)),
-                                      ordering=cert.ordering, route="tube",
-                                      note="tube route certifies the weak form")
-    return cert
+    return _weak_grouping(ext, "tube")
 
 
 # -- the top-level verdict ---------------------------------------------------------------
@@ -532,7 +521,6 @@ class LfdReport:
     reasons: tuple = ()
     method: tuple = ()
     provenance: dict = dc_field(default_factory=dict)
-    component_degrees: tuple = None
 
     def to_json(self):
         out = {"verdict": self.verdict,
@@ -544,8 +532,6 @@ class LfdReport:
                "provenance": dict(self.provenance)}
         out["schur"] = self.schur.to_json() if self.schur else None
         out["reduced"] = self.reduced.to_json() if self.reduced else None
-        if self.component_degrees is not None:
-            out["component_degrees"] = list(self.component_degrees)
         return out
 
 

@@ -8,7 +8,8 @@ elimination and Newton interpolation on Fractions), the
 characteristic-polynomial and nullspace reference for the Dynkin / tame /
 wild split of a quiver, the component-degree search over the whole root
 box at once, the positive real roots in a box as a plain reflection
-closure, and the tube search over every real root below delta.
+closure, the tube search over every real root below delta, and the
+three-stage homogeneity certificate from an ext table.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from qlfd.quiver import cartan_matrix, classify_graph, euler_matrix, rep_dimension
+from qlfd.quiver import (cartan_matrix, classify_graph, euler_matrix, rep_dimension,
+                         topological_order)
 from qlfd.reps import is_schur_root, perp_candidates
 from qlfd.roots import Tube, coxeter_matrix, positive_real_roots
-from qlfd.saito import build_saito_matrix, component_degree
+from qlfd.saito import HomogeneityCertificate, build_saito_matrix, component_degree
 
 
 class MultiPoly:
@@ -395,3 +397,35 @@ def tubes_from_every_root(q):
             tubes.append(Tube(tuple(orbit[lo:] + orbit[:lo]), len(orbit)))
     tubes.sort(key=lambda t: (-t.period, t.simples[0]))
     return tubes
+
+
+def ext_digraph_certificate(ext, route):
+    """The homogeneity certificate from a pairwise ext-nonvanishing table in
+    three stages: a topological order of the ext digraph (quasihomogeneous
+    when the parts are rigid, on the concrete route), else its first sink
+    as the second group, else a scan of all 2-groupings for
+    ext(G2, G1) = 0."""
+    k = len(ext)
+    rigid = not any(ext[i][i] for i in range(k))
+    # Topological order of "i must come after j when ext[i][j] != 0".
+    order = topological_order([[j for j in range(k) if j != i and ext[i][j]]
+                               for i in range(k)])
+    acyclic = order is not None
+    if acyclic and rigid and route == "concrete":
+        return HomogeneityCertificate("quasihomogeneous", ordering=tuple(order),
+                                      route=route)
+    if acyclic:
+        # A sink of the ext digraph has no nonzero ext into the rest.
+        for i in range(k):
+            if not any(ext[i][j] for j in range(k) if j != i):
+                rest = tuple(j for j in range(k) if j != i)
+                return HomogeneityCertificate("weakly", grouping=(rest, (i,)),
+                                              route=route)
+    # Last resort: scan all 2-groupings for ext(G2, G1) = 0.
+    for mask in range(1, 2 ** k - 1):
+        g2 = [i for i in range(k) if mask >> i & 1]
+        g1 = [i for i in range(k) if not mask >> i & 1]
+        if not any(ext[b][a] for b in g2 for a in g1):
+            return HomogeneityCertificate("weakly", grouping=(tuple(g1), tuple(g2)),
+                                          route=route)
+    return HomogeneityCertificate("none_found", route=route)

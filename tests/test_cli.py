@@ -159,6 +159,21 @@ def test_homogeneity_parts_tube(capsys):
     assert report["route"] == "tube"
 
 
+def test_homogeneity_rejects_what_it_would_ignore(capsys):
+    a2 = path("a2.json")
+    for argv, error in (
+            (["--split", "1,0:0,1:1,1"], "--split needs the form m1,m2,...:n1,n2,..."),
+            (["--split", "1,0"], "--split needs the form m1,m2,...:n1,n2,..."),
+            (["--split", "a,b:1,0"], "bad vector 'a,b'"),
+            ([], "homogeneity needs --split or --parts"),
+            (["--split", "1,0:0,1", "--parts", "1,0:0,1"],
+             "qlfd homogeneity: argument --parts: not allowed with argument --split")):
+        assert main(["homogeneity", a2] + argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == json.dumps({"error": error}) + "\n", argv
+
+
 def test_determinism(capsys):
     code1, rep1 = run(capsys, "--seed", "99", "lfd", path("d4.json"))
     code2, rep2 = run(capsys, "--seed", "99", "lfd", path("d4.json"))

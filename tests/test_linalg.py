@@ -459,6 +459,15 @@ def test_prime_field_is_built_once_per_modulus():
                 GF(p)
 
 
+def test_field_element_takes_only_integers():
+    assert GF(7).element(-1) == 6 and GF(7).element(np.int64(9)) == 2
+    for bad in (2.7, 2.0, "2", None):
+        with pytest.raises(ValueError, match="must be integers"):
+            GF(7).element(bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        interpolate(GF(7), [(0, 2.7), (1.5, 1)])
+
+
 def test_interpolate_quadratic():
     p = interpolate(F, [(0, 1), (1, 2), (2, 5)])
     assert p.coeffs == [1, 0, 1]  # t^2 + 1

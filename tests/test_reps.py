@@ -8,8 +8,7 @@ from qlfd import (ExactMatrix, GF, build_c_matrix, end_dim, euler_form,
                   sample_representation, tits_form)
 from qlfd.errors import QuiverInputError
 from qlfd.quiver import Quiver
-from qlfd.reps import (Representation, coords_from_rep, rep_from_coords,
-                       rep_from_json)
+from qlfd.reps import Representation, coords_from_rep, rep_from_coords
 from qlfd.roots import positive_real_roots
 
 from conftest import a2, a3, d4_in, kronecker
@@ -87,9 +86,9 @@ def test_c_matrix_quiver_mismatch():
 
 def test_hom_ext_a2_generic_and_zero():
     generic = hom_ext(rep_a2(1), rep_a2(1))
-    assert (generic.hom, generic.ext, generic.end) == (1, 0, 1)
+    assert (generic.hom, generic.ext) == (1, 0)
     zero = hom_ext(rep_a2(0), rep_a2(0))
-    assert (zero.hom, zero.ext, zero.end) == (2, 1, 2)
+    assert (zero.hom, zero.ext) == (2, 1)
     assert is_brick(rep_a2(1)) and not is_brick(rep_a2(0))
 
 
@@ -192,57 +191,6 @@ def test_sample_draws_arrow_by_arrow_row_major(field):
                                 for _ in range(d[t])], shape=(d[t], d[s]))
             for s, t in q.arrow_indices()]
     assert list(got.mats) == want
-
-
-def test_rep_json_roundtrip():
-    rng = random.Random(6)
-    q = d4_in()
-    m = sample_representation(q, (1, 1, 1, 2), F, rng)
-    data = m.to_json()
-    again = rep_from_json(q, data, F)
-    assert again.dim == m.dim and again.mats == m.mats
-
-
-def test_rep_json_exact_entries():
-    q = a2()
-    big = {"dim": {"1": 2, "2": 2}, "modulus": F.p,
-           "mats": {"0": [[-1, 2**63], [-2**70, 0]]}}
-    m = rep_from_json(q, big, F)
-    assert m.mats[0].rows == [[F.p - 1, 2**63 % F.p], [-2**70 % F.p, 0]]
-    again = rep_from_json(q, m.to_json(), F)
-    assert again.mats == m.mats and again.to_json() == m.to_json()
-
-
-def test_rep_json_takes_only_integer_entries():
-    q = a2()
-    for bad in (2.7, 2.0, "2", None):
-        data = {"dim": {"1": 1, "2": 1}, "modulus": 7, "mats": {"0": [[bad]]}}
-        with pytest.raises(QuiverInputError):
-            rep_from_json(q, data, GF(7))
-
-
-def test_rep_json_keeps_its_modulus():
-    q = a2()
-    m = Representation(q, (1, 1), (ExactMatrix(GF(11), [[9]]),), GF(11))
-    data = m.to_json()
-    assert data["modulus"] == 11 and data["mats"] == {"0": [[9]]}
-    assert rep_from_json(q, data, GF(11)).mats == m.mats
-    with pytest.raises(QuiverInputError, match="mod 11"):
-        rep_from_json(q, data, GF(7))
-    for mod in (None, 2**31 - 1):
-        with pytest.raises(QuiverInputError):
-            rep_from_json(q, dict(data, modulus=mod), GF(11))
-    # a representation without the key is read over the field it is given
-    del data["modulus"]
-    assert rep_from_json(q, data, GF(7)).mats[0].rows == [[2]]
-
-
-def test_rep_json_dim_takes_only_integers():
-    q = a2()
-    for bad in (1.5, 2.0, True, "2", None):
-        data = {"dim": {"1": bad, "2": 1}, "modulus": F.p, "mats": {"0": [[1]]}}
-        with pytest.raises(QuiverInputError):
-            rep_from_json(q, data, F)
 
 
 def test_coords_roundtrip():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qlfd.saito
 from qlfd import (GF, Quiver, build_saito_matrix, component_degree, component_degrees_report, degree_sum_check,
                   euler_form, euler_homogeneity_witness, evaluate_f,
                   find_tubes, lfd_verdict, quiver_from_json,
@@ -16,15 +17,15 @@ from qlfd.config import Config
 from qlfd.errors import NonSquare, NotSincere, PrimeTooSmall, QuiverInputError
 from qlfd.matrix import LinearPencil
 from qlfd.quiver import euler_matrix, rep_dimension
-from qlfd.reps import (build_c_matrix, coords_from_rep, is_brick, is_schur_root,
-                       rep_from_coords)
+from qlfd.reps import (HomExtReport, Representation, build_c_matrix, coords_from_rep,
+                       is_brick, is_schur_root, rep_from_coords)
 from qlfd.roots import positive_real_roots
-from qlfd.saito import SaitoMatrix
+from qlfd.saito import SaitoMatrix, _weak_grouping
 
 from conftest import (E7_JSON, a2, a3, cycle, d4_in, d4_out, kronecker,
                       random_tree_quiver)
-from oracle import (MultiPoly, bareiss_det, expand_f_symbolic, full_box_degrees,
-                    product, quadratic_gram_rank)
+from oracle import (MultiPoly, bareiss_det, expand_f_symbolic, ext_digraph_certificate,
+                    full_box_degrees, product, quadratic_gram_rank)
 
 F = GF(2**31 - 1)
 CFG = Config()
@@ -206,6 +207,13 @@ def test_lfd_support_restriction():
     assert "support_restriction" in rep.method
 
 
+def test_lfd_zero_dimension_vector():
+    assert lfd_verdict(a3(), (0, 0, 0), CFG).to_json() == {
+        "verdict": "not_linear_free", "q_value": None, "dim_rep": None,
+        "degree": None, "reasons": ["dimension vector not positive"], "method": [],
+        "provenance": CFG.provenance(), "schur": None, "reduced": None}
+
+
 def test_lfd_report_provenance():
     rep = lfd_verdict(d4_in(), (1, 1, 1, 2), CFG)
     assert rep.verdict == "linear_free"
@@ -248,6 +256,41 @@ def test_component_degree_bipartite_reduction():
         pairing = sum(d[i] * m[i] for i in top)
         assert component_degree(q, d, m, "right") == pairing
         assert pairing == sum(d[i] * chi[i] for i in top)
+
+
+def test_degrees_report_restricts_to_the_support():
+    assert component_degrees_report(a3((1, 1)), (1, 1, 0), CFG) == {
+        "certified": True, "provenance": CFG.provenance(), "support_restricted": True,
+        "dim_rep": 1, "expected_components": 1, "side": "left", "degrees": [1],
+        "vectors": [[1, 0]], "subsets_certified": 1, "unique_multiset": True,
+        "candidates_considered": 1, "search_bound": 1}
+
+
+def test_degrees_report_needs_q_value_one():
+    assert component_degrees_report(a3((1, 1)), (1, 2, 1), CFG) == {
+        "certified": False, "provenance": CFG.provenance(),
+        "reason": "q_Q(d) = 2 != 1"}
+
+
+def test_degrees_report_without_a_brick():
+    # a real root of this star that is not a Schur root: no sample is a brick
+    q = Quiver(tuple("12345"), (("2", "1"), ("3", "2"), ("2", "4"), ("2", "5")))
+    assert component_degrees_report(q, (2, 3, 1, 1, 1), CFG) == {
+        "certified": False, "provenance": CFG.provenance(), "dim_rep": 15,
+        "expected_components": 4, "reason": "Schur sampling inconclusive"}
+
+
+def test_degrees_report_box_too_small():
+    # the certified components need a root entry of 2
+    q = Quiver(tuple("123456"), (("2", "1"), ("3", "2"), ("2", "4"), ("3", "5"),
+                                 ("2", "6")))
+    d = (1, 3, 1, 2, 1, 2)
+    config = Config(entry_bound=1)
+    assert component_degrees_report(q, d, config) == {
+        "certified": False, "provenance": config.provenance(), "dim_rep": 19,
+        "expected_components": 5,
+        "reason": "no subset of candidate degrees certified against f"}
+    assert component_degrees_report(q, d, Config(entry_bound=2))["certified"]
 
 
 def test_degree_sum_check():
@@ -471,9 +514,9 @@ def test_quasihom_concrete_dynkin():
     s2 = rep_from_coords(q, (0, 1), [], F)
     cert = quasihom_certificate(q, (1, 1), [(1, 0), (0, 1)],
                                 part_reps=[s1, s2])
-    assert cert.value == "quasihomogeneous"
     # S2 must come before S1 in the ordering (ext(S1, S2) is nonzero)
-    assert cert.ordering == (1, 0)
+    assert cert.to_json() == {"certificate": "quasihomogeneous", "ordering": [1, 0],
+                              "route": "concrete"}
 
 
 def test_quasihom_single_part():
@@ -516,6 +559,32 @@ def test_quasihom_tube_route(e7_pair):
     cert = quasihom_certificate(q7, d7, list(found))
     assert cert.value == "weakly"
     assert cert.route == "tube"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_weak_grouping_matches_three_stage_oracle(data):
+    k = data.draw(st.integers(min_value=2, max_value=6))
+    ext = data.draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
+                             min_size=k, max_size=k))
+    if data.draw(st.booleans()):
+        # keep only the edges i -> j with i after j in a random order: acyclic
+        rank = {v: r for r, v in enumerate(data.draw(st.permutations(range(k))))}
+        ext = [[x and (i == j or rank[i] > rank[j]) for j, x in enumerate(row)]
+               for i, row in enumerate(ext)]
+    assert _weak_grouping(ext, "tube") == ext_digraph_certificate(ext, "tube")
+    # the concrete route, with Ext read off the table
+    q = Quiver(("1",), ())
+    reps = [Representation(q, (1,), (), F) for _ in range(k)]
+    index = {id(r): i for i, r in enumerate(reps)}
+
+    def table_hom_ext(m, n):
+        return HomExtReport(0, int(ext[index[id(m)]][index[id(n)]]))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlfd.saito, "hom_ext", table_hom_ext)
+        cert = quasihom_certificate(q, (k,), [(1,)] * k, part_reps=reps)
+    assert cert == ext_digraph_certificate(ext, "concrete")
 
 
 def test_quasihom_parts_mismatch():
