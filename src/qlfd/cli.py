@@ -139,7 +139,7 @@ def cmd_normal_form(q: Quiver, d, config: Config, args):
 def cmd_homogeneity(q: Quiver, d, config: Config, args):
     d = _need_dim(d)
     out = {"command": "homogeneity", "quiver": quiver_to_json(q, d)}
-    if args.split:
+    if args.split is not None:
         texts = args.split.split(":")
         if len(texts) != 2:
             raise QuiverInputError("--split needs the form m1,m2,...:n1,n2,...")
@@ -147,7 +147,7 @@ def cmd_homogeneity(q: Quiver, d, config: Config, args):
         found = euler_homogeneity_witness(q, d, (m, n))
         out.update({"split": [list(m), list(n)], "euler_witness": found})
         return out, EXIT_OK
-    if args.parts:
+    if args.parts is not None:
         vectors = [_parse_vector(q, t) for t in args.parts.split(":")]
         cert = quasihom_certificate(q, d, vectors)
         out.update({"parts": [list(v) for v in vectors]})

@@ -164,6 +164,7 @@ def test_homogeneity_rejects_what_it_would_ignore(capsys):
     for argv, error in (
             (["--split", "1,0:0,1:1,1"], "--split needs the form m1,m2,...:n1,n2,..."),
             (["--split", "1,0"], "--split needs the form m1,m2,...:n1,n2,..."),
+            (["--split", ""], "--split needs the form m1,m2,...:n1,n2,..."),
             (["--split", "a,b:1,0"], "bad vector 'a,b'"),
             ([], "homogeneity needs --split or --parts"),
             (["--split", "1,0:0,1", "--parts", "1,0:0,1"],
