@@ -3,10 +3,11 @@ matrices linear in a coordinate vector.
 
 A matrix is one int64 array of residues in [0, p). Every product of two
 residues stays below 2^62 for any modulus < 2^31, so the kernels are exact
-in int64. One Gauss-Jordan elimination, _rref, serves them all: rank and
-nullspace read its pivot columns, and the determinant is its scale, the
-product of the pivots with the sign of the row swaps, when every column has
-a pivot.
+in int64. One Gauss-Jordan elimination, _rref, serves rank, nullspace and
+det_line: rank and nullspace read its pivot columns, det_line its scale, the
+product of the pivots with the sign of the row swaps. A determinant alone
+needs no reduced form: _det eliminates forward only, with _rref's pivot
+rule, and stops at the first column without a pivot.
 
 LinearPencil.det_line turns the determinant of an n x n pencil along a
 line into its polynomial over F_p in one O(n^3) pass: one Gauss-Jordan
@@ -215,11 +216,36 @@ def _rref(a: np.ndarray, p: int):
 
 
 def _det(a: np.ndarray, p: int) -> int:
-    """Determinant mod p of a square array of residues: the scale of _rref
-    when every column has a pivot (1 for a 0 x 0 array), else 0. Eliminates
-    a in place."""
-    _, piv, scale = _rref(a, p)
-    return scale if len(piv) == a.shape[1] else 0
+    """Determinant mod p of a square array of residues (1 for a 0 x 0
+    array), by forward elimination in place.
+
+    The pivot of column c is a[c, c] when that is nonzero, else the first
+    nonzero entry below it, swapped up; a column without one makes the
+    determinant 0. Only the rows below the pivot with a nonzero entry in its
+    column are updated, and only right of it; the pivot row is not
+    normalised. Row i gains (p - a[i, c] / pivot) times the pivot row, so
+    every operand of % is non-negative.
+    """
+    n = a.shape[0]
+    det = 1
+    for c in range(n):
+        pivot = int(a[c, c])
+        if not pivot:
+            nz = a[c + 1:, c].nonzero()[0]
+            if nz.size == 0:
+                return 0
+            r = c + 1 + int(nz[0])
+            a[[c, r]] = a[[r, c]]
+            det = -det
+            pivot = int(a[c, c])
+        det = det * pivot % p
+        col = a[c + 1:, c]
+        rows = col.nonzero()[0]
+        if rows.size:
+            g = col[rows] * (p - pow(pivot, -1, p)) % p
+            rows += c + 1
+            a[rows, c + 1:] = (a[rows, c + 1:] + g[:, None] * a[c, c + 1:]) % p
+    return det
 
 
 def _gf_charpoly(h: np.ndarray, p: int) -> list:

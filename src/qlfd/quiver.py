@@ -7,7 +7,6 @@ stored as tuples and never reordered.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 
@@ -385,8 +384,6 @@ def quiver_from_json(data):
     vertices must be a non-empty array, each arrow a two-element array and
     each dim entry an integer; nothing else is read as one of them.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
         vertices, arrows = data["vertices"], data["arrows"]
     except (KeyError, TypeError) as exc:

@@ -6,10 +6,12 @@ Flattening convention, fixed once: coordinates of the representation space
 are ordered arrow by arrow (quiver arrow order), column-major within each
 arrow block. The map c between two representations uses vertex blocks then
 arrow blocks, column-major within each block; determinant signs and golden
-values depend on this. build_c_matrix is the one builder of c: Hom and Ext,
-the brick test, the orthogonal candidates and the relative invariants all
-read it, and c(x, x) transposed, without its last row, is the Saito matrix
-M(x).
+values depend on this. _c_array is the one builder of c, on plain int64
+arrays: build_c_matrix wraps it for Hom and Ext, the brick test and the
+relative invariants, and the orthogonal-candidate probes call it directly.
+c(x, x) transposed, without its last row, is the Saito matrix M(x). Random
+points are drawn by _draw_mats alone, arrow by arrow, row by row within an
+arrow.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import QuiverInputError
-from .matrix import ExactMatrix, _entries
+from .matrix import ExactMatrix, _det
 from .quiver import Quiver, check_dim, euler_matrix, is_positive
 
 
@@ -74,33 +76,67 @@ def coords_from_rep(m: Representation) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
 
 
+def _draw_mats(arrows, dims, p, rng):
+    """One uniform d_target x d_source int64 matrix of residues mod p per
+    arrow, drawn arrow by arrow, row by row within an arrow."""
+    sizes = [dims[s] * dims[t] for s, t in arrows]
+    draw = rng.randrange
+    x = np.array([draw(p) for _ in range(sum(sizes))], dtype=np.int64)
+    return [x[off:off + size].reshape(dims[t], dims[s])
+            for (s, t), off, size in zip(arrows, accumulate(sizes, initial=0), sizes)]
+
+
 def sample_representation(q: Quiver, d, field, rng) -> Representation:
     """Uniform random point of the representation space over the field.
 
     Entries are drawn arrow by arrow, row by row within an arrow.
     """
     d = check_dim(q, d)
-    arrows = q.arrow_indices()
-    sizes = [d[s] * d[t] for s, t in arrows]
-    x = _entries(field, [field.random(rng) for _ in range(sum(sizes))])
-    offs = accumulate(sizes, initial=0)
-    mats = tuple(ExactMatrix._of(field, x[off:off + size].reshape(d[t], d[s]))
-                 for (s, t), off, size in zip(arrows, offs, sizes))
+    mats = tuple(ExactMatrix._of(field, m)
+                 for m in _draw_mats(q.arrow_indices(), d, field.p, rng))
     return Representation(q, d, mats, field)
 
 
 # -- the Hom/Ext linear map ---------------------------------------------------------
 
 
-def _kron(a, b):
-    """np.kron of two 2-D arrays, without its n-dimensional overhead."""
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+def _view(c, offset, shape, strides):
+    """A view of the C-contiguous int64 array c, offset and strides counted
+    in entries."""
+    return np.ndarray(shape, np.int64, c, 8 * offset, tuple(8 * x for x in strides))
+
+
+def _c_array(arrows, n_vertices, md, nd, fs, gs, p):
+    """c between the representations (f_a) of dimension md and (g_a) of
+    dimension nd, given as int64 arrays of residues mod p, as a fresh
+    reduced int64 array with the layout of build_c_matrix."""
+    col_off = list(accumulate((md[i] * nd[i] for i in range(n_vertices)), initial=0))
+    row_off = list(accumulate((md[s] * nd[t] for s, t in arrows), initial=0))
+    width = col_off[-1]
+    c = np.zeros((row_off[-1], width), dtype=np.int64)
+    for (s, t), r0, f, g in zip(arrows, row_off, fs, gs):
+        ms, nt, ns = md[s], nd[t], nd[s]
+        if not ms * nt:
+            continue  # an empty row block; its offsets may lie past the end of c
+        # Row r0 + a nt + b is entry (b, a) of phi_t f - g phi_s, and column
+        # col_off[i] + k nd_i + l is entry (l, k) of phi_i. Seen as
+        # (md_s, nd_t, md_t, nd_t), the target block holds f[k, a] where its
+        # two nd_t indices agree, a strided diagonal; seen as (md_s, nd_t,
+        # md_s, nd_s), the source block holds -g[b, l] where its two md_s
+        # indices agree. += keeps both terms when s = t.
+        target = _view(c, r0 * width + col_off[t], (ms, md[t], nt),
+                       (nt * width, nt, width + 1))
+        target += f.T[:, :, None]
+        source = _view(c, r0 * width + col_off[s], (ms, nt, ns),
+                       (nt * width + ns, width, 1))
+        source += p - g
+    c %= p
+    return c
 
 
 def build_c_matrix(m: Representation, n: Representation) -> ExactMatrix:
     """The map (phi_i) -> (phi_{t a} f_a - g_a phi_{s a}) between the
-    representations m = (f_a) and n = (g_a).
+    representations m = (f_a) and n = (g_a), built by _c_array.
 
     Domain: one block per vertex, Hom(V_i, W_i) flattened column-major.
     Codomain: one block per arrow, Hom(V_{s a}, W_{t a}) flattened
@@ -111,16 +147,9 @@ def build_c_matrix(m: Representation, n: Representation) -> ExactMatrix:
         raise QuiverInputError("representations live on different quivers")
     if n.field != field:
         raise QuiverInputError("representations live over different fields")
-    md, nd = m.dim, n.dim
-    arrows = q.arrow_indices()
-    col_off = list(accumulate((md[i] * nd[i] for i in range(q.n_vertices)), initial=0))
-    row_off = list(accumulate((md[s] * nd[t] for s, t in arrows), initial=0))
-    c = np.zeros((row_off[-1], col_off[-1]), dtype=np.int64)
-    for (s, t), r0, r1, f, g in zip(arrows, row_off, row_off[1:], m.mats, n.mats):
-        # f is md[t] x md[s], g is nd[t] x nd[s]
-        c[r0:r1, col_off[t]:col_off[t + 1]] += _kron(f.a.T, np.eye(nd[t], dtype=np.int64))
-        c[r0:r1, col_off[s]:col_off[s + 1]] -= _kron(np.eye(md[s], dtype=np.int64), g.a)
-    return ExactMatrix(field, c)
+    c = _c_array(q.arrow_indices(), q.n_vertices, m.dim, n.dim,
+                 [f.a for f in m.mats], [g.a for g in n.mats], field.p)
+    return ExactMatrix._of(field, c)
 
 
 @dataclass(frozen=True)
@@ -195,27 +224,36 @@ def perp_candidates(q: Quiver, d, roots, side: str, brick: Representation,
     representation of dimension e must have Hom = Ext = 0 against the
     sampled brick of dimension d: the c-matrix between them is square by
     orthogonality, so this is a nonzero determinant, which proves the
-    relative invariant c^e of Rep(q, d) nonzero. Candidates are not
-    certified simple; the degrees report certifies a subset of them by an
-    exact sum of their characters.
+    relative invariant c^e of Rep(q, d) nonzero. Each of the at most
+    `trials` probes per root draws its matrices with _draw_mats, as
+    sample_representation does, builds c with _c_array and takes _det, all
+    on plain int64 arrays. Candidates are not certified simple; the degrees
+    report certifies a subset of them by an exact sum of their characters.
     """
     d = check_dim(q, d)
     if side not in ("left", "right"):
         raise QuiverInputError("side must be 'left' or 'right'")
+    if (brick.quiver, brick.dim, brick.field) != (q, d, field):
+        raise QuiverInputError("the brick must be a representation of (q, d) over the field")
     # <e, d> = e . E d on the left and <d, e> = e . E^t d on the right
     e_mat = np.array(euler_matrix(q), dtype=np.int64)
     if side == "right":
         e_mat = e_mat.T
     pairings = (np.array(roots, dtype=np.int64).reshape(len(roots), q.n_vertices)
                 @ (e_mat @ np.array(d, dtype=np.int64)))
+    arrows, n_vertices, p = q.arrow_indices(), q.n_vertices, field.p
+    brick_mats = [m.a for m in brick.mats]
     out = []
     for e, pairing in zip(roots, pairings.tolist()):
         if pairing or e == d or not any(e):
             continue
         for _ in range(trials):
-            probe = sample_representation(q, e, field, rng)
-            rep_pair = (probe, brick) if side == "left" else (brick, probe)
-            if build_c_matrix(*rep_pair).det() != 0:
+            probe = _draw_mats(arrows, e, p, rng)
+            if side == "left":
+                c = _c_array(arrows, n_vertices, e, d, probe, brick_mats, p)
+            else:
+                c = _c_array(arrows, n_vertices, d, e, brick_mats, probe, p)
+            if _det(c, p):
                 out.append(e)
                 break
     return out

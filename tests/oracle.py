@@ -7,7 +7,8 @@ library's arithmetic mod p (a fraction-free determinant, a Gauss-Jordan
 elimination and Newton interpolation on Fractions), the
 characteristic-polynomial and nullspace reference for the Dynkin / tame /
 wild split of a quiver, the component-degree search over the whole root
-box at once, the positive real roots in a box as a plain reflection
+box at once, the orthogonal-candidate probes through whole representations
+and c-matrices, the positive real roots in a box as a plain reflection
 closure, the tube search over every real root below delta, and the
 three-stage homogeneity certificate from an ext table.
 """
@@ -20,9 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from qlfd.quiver import (cartan_matrix, classify_graph, euler_matrix, rep_dimension,
-                         topological_order)
-from qlfd.reps import is_schur_root, perp_candidates
+from qlfd.quiver import (cartan_matrix, classify_graph, euler_form, euler_matrix,
+                         rep_dimension, topological_order)
+from qlfd.reps import build_c_matrix, is_schur_root, perp_candidates, sample_representation
 from qlfd.roots import Tube, coxeter_matrix, positive_real_roots
 from qlfd.saito import HomogeneityCertificate, build_saito_matrix, component_degree
 
@@ -339,6 +340,29 @@ def full_box_degrees(q, d, config):
                     "subsets": [sorted(list(e) for _, e in subset)
                                 for subset in certified]}
     return {"certified": False}
+
+
+def perp_candidates_reference(q, d, roots, side, brick, trials, field, rng, probes=None):
+    """perp_candidates root by root through the Representation layer: each
+    probe is a sample_representation, its c-matrix against the brick a
+    build_c_matrix, and the test its det(). The Euler pairing is taken per
+    root by euler_form. When a list `probes` is given, each probe appends
+    its trial number, counted from 0, so a retry shows as a number above 0.
+    """
+    out = []
+    for e in roots:
+        pairing = euler_form(q, e, d) if side == "left" else euler_form(q, d, e)
+        if pairing or e == d or not any(e):
+            continue
+        for trial in range(trials):
+            if probes is not None:
+                probes.append(trial)
+            probe = sample_representation(q, e, field, rng)
+            pair = (probe, brick) if side == "left" else (brick, probe)
+            if build_c_matrix(*pair).det() != 0:
+                out.append(e)
+                break
+    return out
 
 
 def reflection_closure_layers(q, box):

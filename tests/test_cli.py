@@ -127,6 +127,18 @@ def test_reflect_rejects_a_negative_dimension(tmp_path, capsys):
         assert message in json.loads(captured.err)["error"]
 
 
+def test_a_quiver_file_holding_a_json_string_is_malformed(tmp_path, capsys):
+    # the string is itself valid quiver JSON, but it is not decoded a second time
+    inner = {"vertices": ["1"], "arrows": [], "dim": {"1": 1}}
+    file = tmp_path / "q.json"
+    file.write_text(json.dumps(json.dumps(inner)))
+    assert main(["analyze", str(file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"].startswith("malformed quiver JSON: ")
+
+
 def test_normal_form_exact_step_budget(capsys):
     # d4 is bipartite already; e7 and e8 need exactly 4 and 11 steps
     for name, steps in (("d4.json", 0), ("e7.json", 4), ("e8.json", 11)):

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlfd import (ExactMatrix, GF, build_c_matrix, end_dim, euler_form,
                   hom_ext, is_brick, is_schur_root, perp_candidates,
@@ -11,7 +12,8 @@ from qlfd.quiver import Quiver
 from qlfd.reps import Representation, coords_from_rep, rep_from_coords
 from qlfd.roots import positive_real_roots
 
-from conftest import a2, a3, d4_in, kronecker
+from conftest import a2, a3, d4_in, kronecker, random_tree_quiver
+from oracle import perp_candidates_reference
 
 F = GF(2**31 - 1)
 
@@ -178,6 +180,39 @@ def test_perp_candidates_a2():
     assert perp_candidates(a2(), (1, 1), roots, "right", brick, 3, F, rng) == [(0, 1)]
     with pytest.raises(QuiverInputError):
         perp_candidates(a2(), (1, 1), roots, "both", brick, 3, F, rng)
+    # the brick must have the quiver, the dimension vector and the field of the call
+    for q, d, field in ((a3(), (1, 1, 1), F), (a2(), (1, 2), F), (a2(), (1, 1), GF(7))):
+        with pytest.raises(QuiverInputError):
+            perp_candidates(q, d, positive_real_roots(q, 2), "left", brick, 3, field, rng)
+
+
+def test_perp_candidates_match_the_per_root_reference():
+    # p = 3 makes zero determinants, and so retries, common
+    retried = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree_seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+           pick=st.integers(0, 10**6), side=st.sampled_from(["left", "right"]),
+           p=st.sampled_from([3, 7, 2**31 - 1]), trials=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def check(tree_seed, n, pick, side, p, trials, seed):
+        q = random_tree_quiver(random.Random(tree_seed), n)
+        roots = positive_real_roots(q, 3)
+        sincere = [r for r in roots if all(r)]  # (1, ..., 1) is one on a tree
+        d = sincere[pick % len(sincere)]
+        field = GF(p)
+        brick = sample_representation(q, d, field, random.Random(seed + 1))
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        probes = []
+        got = perp_candidates(q, d, roots, side, brick, trials, field, rng)
+        want = perp_candidates_reference(q, d, roots, side, brick, trials, field,
+                                         ref_rng, probes)
+        assert got == want
+        assert rng.getstate() == ref_rng.getstate()
+        retried.append(any(probes))
+
+    check()
+    assert any(retried)
 
 
 @pytest.mark.parametrize("field", [F, GF(7), GF(101)])
