@@ -22,7 +22,7 @@ from qlfd import cli
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
-NAMES = ("a2", "cycle3", "d4", "e7", "e8")
+NAMES = ("a2", "cycle3", "d4", "dt4", "e7", "e8")
 COMMANDS = ("analyze", "lfd", "degrees", "tubes", "normal-form")
 CASES = [(name, command) for name in NAMES for command in COMMANDS]
 PRIME_CASES = [("d4", "degrees", 3), ("d4", "lfd", 7),
