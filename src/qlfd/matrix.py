@@ -150,7 +150,15 @@ class LinearPencil:
         return _det(self.at(x, field), field.p)
 
     def det_line(self, a, b, field):
-        """Coefficients, low to high, of t -> det M(a + t b) over F_p, or None.
+        """Coefficients, low to high, of t -> det M(a + t b) over F_p, or None
+        when every anchor is singular (see anchored_det_line)."""
+        found = self.anchored_det_line(a, b, field)
+        return None if found is None else found[1]
+
+    def anchored_det_line(self, a, b, field):
+        """(s, coefficients low to high of t -> det M(a + t b)) over F_p, where
+        M(a + s b) is the nonsingular anchor the polynomial was read at, or
+        None.
 
         M(a + t b) = A + t B with A = M(a) and B = M(b). When A is
         invertible, det(A + t B) = det A * det(I + t K) with K = A^-1 B, and
@@ -171,7 +179,7 @@ class LinearPencil:
                 continue
             chi = _gf_charpoly(-red[:, n:] % p, p)
             coeffs = [det * c % p for c in reversed(chi)]
-            return _taylor_shift(coeffs, -s, p) if s else coeffs
+            return s, (_taylor_shift(coeffs, -s, p) if s else coeffs)
         return None
 
 

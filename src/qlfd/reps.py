@@ -201,6 +201,11 @@ def is_schur_root(q: Quiver, d, trials: int, field, rng, saito=None) -> SchurVer
     unit's image is minus the sum of the other diagonal units' images, and
     rank M(x) = sum d_i^2 - dim End(x). M(x) has sum d_i^2 - 1 rows, so x is
     a brick exactly when det M(x) != 0. Both tests see the same draws.
+
+    The degrees report samples its brick here, since perp_candidates needs
+    one as a Representation. The lfd verdict draws no Schur sample: it reads
+    its brick off the first nonsingular anchor of the line test
+    (saito.reducedness_test).
     """
     d = check_dim(q, d)
     if not is_positive(d):

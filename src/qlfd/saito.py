@@ -32,7 +32,7 @@ from .quiver import (Quiver, check_dim, classify_graph, euler_form,
                      euler_matrix, is_positive, is_sincere, is_tree,
                      rep_dimension, stages, support_pair, tits_form,
                      topological_order)
-from .reps import (Representation, build_c_matrix, coord_offsets,
+from .reps import (Representation, SchurVerdict, build_c_matrix, coord_offsets,
                    coords_from_rep, hom_ext, is_schur_root, perp_candidates)
 
 
@@ -130,6 +130,8 @@ class ReducednessVerdict:
     seed: int
     witness_prime: int = None
     degree: int = None
+    anchor_trial: int = None  # 1-based line with the first nonsingular anchor
+    anchor: tuple = None      # that anchor a + s b, mod the line's prime
 
     def to_json(self):
         out = {"verdict": self.value, "trials": self.trials,
@@ -146,13 +148,19 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
     """Probabilistic reducedness of f via random affine lines over F_p.
 
     Each trial restricts f to x(t) = a + t b and reads off the univariate
-    polynomial in one pass (LinearPencil.det_line: one elimination and a
-    Danilevsky characteristic polynomial mod p), then tests degree-n
+    polynomial in one pass (LinearPencil.anchored_det_line: one elimination
+    and a Danilevsky characteristic polynomial mod p), then tests degree-n
     squarefreeness. The determinant has integer coefficients, so a single
     squarefree degree-n restriction is a sound certificate of reducedness.
     The verdict is not_reduced when no trial certifies, and
     identically_zero when the restriction vanished identically in every
     trial.
+
+    The polynomial is read at a point a + s b where M is nonsingular, and the
+    first such anchor is reported with its trial. M(x) has sum d_i^2 - 1
+    rows and rank sum d_i^2 - dim End(x) (see is_schur_root), so the anchor
+    is a brick over F_p: a nonzero determinant mod p makes f nonzero over
+    the integers, and d a Schur root.
     """
     if primes is None:
         primes = (2**31 - 1,)
@@ -163,7 +171,7 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
         raise ValueError("primes must not be empty")
     n = s.n
     rng = random.Random(seed)
-    saw_nonzero = False
+    anchor_trial = anchor = None
     for trial in range(trials):
         p = primes[trial % len(primes)]
         if p <= n:
@@ -172,22 +180,28 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
         if n == 0:
             # det of the empty matrix is 1: reduced of degree 0.
             return ReducednessVerdict("reduced", trial + 1, primes, seed,
-                                      witness_prime=p, degree=0)
+                                      witness_prime=p, degree=0,
+                                      anchor_trial=1, anchor=())
         a = [rng.randrange(p) for _ in range(n)]
         b = [rng.randrange(p) for _ in range(n)]
         if all(x == 0 for x in b):
             b[0] = 1
-        coeffs = s.pencil.det_line(a, b, fld)
-        if coeffs is None:
+        found = s.pencil.anchored_det_line(a, b, fld)
+        if found is None:
             continue
-        saw_nonzero = True
+        shift, coeffs = found
+        if anchor_trial is None:
+            anchor_trial = trial + 1
+            anchor = tuple((x + shift * y) % p for x, y in zip(a, b))
         poly = UnivariatePoly(fld, coeffs)
         if poly.degree == n and poly.is_squarefree():
             return ReducednessVerdict("reduced", trial + 1, primes, seed,
-                                      witness_prime=p, degree=n)
-    if not saw_nonzero:
+                                      witness_prime=p, degree=n,
+                                      anchor_trial=anchor_trial, anchor=anchor)
+    if anchor_trial is None:
         return ReducednessVerdict("identically_zero", trials, primes, seed)
-    return ReducednessVerdict("not_reduced", trials, primes, seed)
+    return ReducednessVerdict("not_reduced", trials, primes, seed,
+                              anchor_trial=anchor_trial, anchor=anchor)
 
 
 # -- relative invariants and component degrees ----------------------------------------
@@ -540,11 +554,14 @@ def lfd_verdict(q: Quiver, d, config: Config = None) -> LfdReport:
 
     Checks, in order: positivity, support restriction for non-sincere d,
     connectedness, the tree obstruction, q_Q(d) = 1 (squareness of the
-    Saito matrix), the probabilistic Schur test (a sampled x is a brick
-    exactly when det M(x) != 0, see is_schur_root), and probabilistic
-    reducedness of the Saito determinant. The minimal-degeneration
-    condition is discharged through reducedness of f, never enumerated;
-    reports record that method.
+    Saito matrix), then the line test of reducedness_test, which decides
+    both remaining conditions. Its first nonsingular anchor is a brick, so
+    the Schur verdict is "yes" with that anchor's trial as its trial count;
+    when no line has a nonsingular anchor no brick was found, and the
+    report is inconclusive with the whole trial budget spent. Otherwise f
+    is nonzero and the verdict is whether a line certified it reduced. The
+    minimal-degeneration condition is discharged through reducedness of f,
+    never enumerated; reports record that method.
     """
     config = config or Config()
     d0 = check_dim(q, d)
@@ -574,24 +591,20 @@ def lfd_verdict(q: Quiver, d, config: Config = None) -> LfdReport:
         return LfdReport("not_linear_free", q_value=qval, dim_rep=n,
                          reasons=tuple(reasons), method=tuple(method),
                          provenance=prov)
-    field = config.field()
-    rng = config.rng()
-    s = build_saito_matrix(q, d)
-    schur = is_schur_root(q, d, config.trials, field, rng, saito=s)
-    if schur.value != "yes":
-        return LfdReport("inconclusive", q_value=qval, dim_rep=n, schur=schur,
+    red = reducedness_test(build_saito_matrix(q, d), trials=config.trials,
+                           primes=(config.prime,), seed=config.seed)
+    if red.anchor_trial is None:
+        return LfdReport("inconclusive", q_value=qval, dim_rep=n,
+                         schur=SchurVerdict("inconclusive", config.trials),
                          reasons=("Schur sampling found no brick",),
                          method=tuple(method), provenance=prov)
-    red = reducedness_test(s, trials=config.trials, primes=(config.prime,),
-                           seed=config.seed)
+    schur = SchurVerdict("yes", red.anchor_trial)
     method.append("reducedness_via_random_line_restriction")
     if red.value == "reduced":
         return LfdReport("linear_free", q_value=qval, dim_rep=n, degree=n,
                          schur=schur, reduced=red, method=tuple(method),
                          provenance=prov)
-    reason = ("Saito determinant vanishes identically"
-              if red.value == "identically_zero"
-              else "Saito determinant is not reduced")
     return LfdReport("not_linear_free", q_value=qval, dim_rep=n, degree=n,
-                     schur=schur, reduced=red, reasons=(reason,),
+                     schur=schur, reduced=red,
+                     reasons=("Saito determinant is not reduced",),
                      method=tuple(method), provenance=prov)

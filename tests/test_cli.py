@@ -219,6 +219,16 @@ def test_bad_input_exit_code(tmp_path, capsys):
         assert "error" in json.loads(captured.err)
 
 
+def test_prime_at_most_dim_rep_is_a_json_error_before_any_draw(capsys):
+    # dt4 is a real root that is not Schur (f = 0), so no line ever finds a
+    # brick; the prime is still rejected first, as for every Schur root
+    for prime in ("3", "7"):
+        assert main(["--prime", prime, "lfd", path("dt4.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == json.dumps({"error": f"prime {prime} <= degree 18"}) + "\n"
+
+
 def test_bad_config_is_a_json_error(capsys):
     for argv in (["--prime", "9", "analyze", path("a2.json")],
                  ["--trials", "0", "lfd", path("a2.json")],

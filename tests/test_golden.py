@@ -18,7 +18,9 @@ import sys
 
 import pytest
 
+import qlfd.saito
 from qlfd import cli
+from qlfd.config import Config
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -42,6 +44,19 @@ def run_cli(name, command, prime=None):
 def golden_path(name, command, prime=None):
     suffix = "" if prime is None else f".p{prime}"
     return GOLDEN / f"{name}.{command}{suffix}.json"
+
+
+@pytest.mark.parametrize("name,prime", [(name, None) for name in NAMES]
+                         + [(n, p) for n, c, p in PRIME_CASES if c == "lfd"])
+def test_lfd_draws_no_schur_sample(name, prime, monkeypatch):
+    # the Schur stage of lfd is read off the line test's anchors
+    def refuse(*args, **kwargs):
+        raise AssertionError("lfd drew a Schur sample")
+
+    monkeypatch.setattr(qlfd.saito, "is_schur_root", refuse)
+    monkeypatch.setattr(Config, "rng", refuse)
+    want = json.loads(golden_path(name, "lfd", prime).read_text(encoding="utf-8"))
+    assert run_cli(name, "lfd", prime) == want
 
 
 @pytest.mark.parametrize("name,command", CASES)

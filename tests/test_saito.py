@@ -17,8 +17,8 @@ from qlfd.config import Config
 from qlfd.errors import NonSquare, NotSincere, PrimeTooSmall, QuiverInputError
 from qlfd.matrix import LinearPencil
 from qlfd.quiver import euler_matrix, rep_dimension
-from qlfd.reps import (HomExtReport, Representation, build_c_matrix, coords_from_rep,
-                       is_brick, is_schur_root, rep_from_coords)
+from qlfd.reps import (HomExtReport, Representation, SchurVerdict, build_c_matrix,
+                       coords_from_rep, is_brick, is_schur_root, rep_from_coords)
 from qlfd.roots import positive_real_roots
 from qlfd.saito import SaitoMatrix, _weak_grouping
 
@@ -629,9 +629,38 @@ def test_schur_trials_match_brick_loop_at_p3(seed, trials):
     via_saito = is_schur_root(q, d, trials, field, config.rng(),
                               saito=build_saito_matrix(q, d))
     assert via_saito == ref  # same verdict, trials and witness
-    if ref.value == "yes" and rep_dimension(q, d) >= 3:
-        # past the Schur stage, reducedness needs p > dim Rep
+    if rep_dimension(q, d) >= 3:
+        # the line test needs p > dim Rep, whatever the Schur draws would say
         with pytest.raises(PrimeTooSmall):
             lfd_verdict(q, d, config)
+        return
+    report = lfd_verdict(q, d, config)
+    if report.reduced is None:  # no line had a nonsingular anchor
+        assert report.schur == SchurVerdict("inconclusive", trials)
     else:
-        assert lfd_verdict(q, d, config).schur == ref
+        assert report.schur == SchurVerdict("yes", report.reduced.anchor_trial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       p=st.sampled_from([5, 101, 2**31 - 1]),
+       trials=st.integers(min_value=1, max_value=4))
+def test_line_anchor_is_a_brick(seed, p, trials):
+    # rank M(x) = sum d_i^2 - dim End(x): the nonsingular anchor of the line
+    # test is a brick, the Schur witness that lfd reports
+    rng = random.Random(seed)
+    q = random_tree_quiver(rng, rng.randint(2, 5))
+    # the all-ones root has dim Rep = #vertices - 1 < 5
+    roots = sorted(e for e in positive_real_roots(q, 3)
+                   if all(e) and rep_dimension(q, e) < p)
+    d = rng.choice(roots)
+    s = build_saito_matrix(q, d)
+    field = GF(p)
+    red = reducedness_test(s, trials=trials, primes=(p,), seed=seed)
+    if red.anchor_trial is None:
+        assert red.value == "identically_zero" and red.anchor is None
+        return
+    assert 1 <= red.anchor_trial <= red.trials
+    assert all(0 <= x < p for x in red.anchor)
+    assert is_brick(rep_from_coords(q, d, red.anchor, field))
+    assert s.det_at(red.anchor, field) != 0
