@@ -13,7 +13,9 @@ LinearPencil.det_line turns the determinant of an n x n pencil along a
 line into its polynomial over F_p in one O(n^3) pass: one Gauss-Jordan
 elimination of [A | B], then the characteristic polynomial of A^-1 B by
 Danilevsky's method, one similarity step per row. A singular start point
-is moved along the line at most min(n + 1, p) times.
+is moved along the line at most min(n + 1, p) times; anchored_det_line
+also returns how far, so the caller knows a point where the pencil is
+nonsingular.
 """
 
 from __future__ import annotations
