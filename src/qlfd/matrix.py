@@ -12,10 +12,9 @@ rule, and stops at the first column without a pivot.
 LinearPencil.det_line turns the determinant of an n x n pencil along a
 line into its polynomial over F_p in one O(n^3) pass: one Gauss-Jordan
 elimination of [A | B], then the characteristic polynomial of A^-1 B by
-Danilevsky's method, one similarity step per row. A singular start point
-is moved along the line at most min(n + 1, p) times; anchored_det_line
-also returns how far, so the caller knows a point where the pencil is
-nonsingular.
+Danilevsky's method, one similarity step per row. It needs a nonsingular
+start point and returns None at a singular one; moving the start along the
+line is up to the caller.
 """
 
 from __future__ import annotations
@@ -153,36 +152,19 @@ class LinearPencil:
 
     def det_line(self, a, b, field):
         """Coefficients, low to high, of t -> det M(a + t b) over F_p, or None
-        when every anchor is singular (see anchored_det_line)."""
-        found = self.anchored_det_line(a, b, field)
-        return None if found is None else found[1]
-
-    def anchored_det_line(self, a, b, field):
-        """(s, coefficients low to high of t -> det M(a + t b)) over F_p, where
-        M(a + s b) is the nonsingular anchor the polynomial was read at, or
-        None.
+        when M(a) is singular.
 
         M(a + t b) = A + t B with A = M(a) and B = M(b). When A is
         invertible, det(A + t B) = det A * det(I + t K) with K = A^-1 B, and
         det(I + t K) is the characteristic polynomial of -K read backwards.
-        One elimination of [A | B] gives det A and K. When A is singular the
-        line is anchored at a + s b instead, for s = 1, 2, ... below
-        min(n + 1, p), and the result is shifted back by s. None means every
-        anchor was singular; for p > n that holds exactly when the
-        restriction is identically zero.
+        One elimination of [A | B] gives det A and K.
         """
-        p = field.p
-        base = self.at(a, field)
-        slope = self.at(b, field)
-        n = self.n
-        for s in range(min(n + 1, p)):
-            red, piv, det = _rref(np.hstack(((base + s * slope) % p, slope)), p)
-            if piv[:n] != list(range(n)):
-                continue
-            chi = _gf_charpoly(-red[:, n:] % p, p)
-            coeffs = [det * c % p for c in reversed(chi)]
-            return s, (_taylor_shift(coeffs, -s, p) if s else coeffs)
-        return None
+        p, n = field.p, self.n
+        red, piv, det = _rref(np.hstack((self.at(a, field), self.at(b, field))), p)
+        if piv[:n] != list(range(n)):
+            return None
+        chi = _gf_charpoly(-red[:, n:] % p, p)
+        return [det * c % p for c in reversed(chi)]
 
 
 # -- array kernels -----------------------------------------------------------
@@ -312,15 +294,6 @@ def _gf_charpoly(h: np.ndarray, p: int) -> list:
         chi = np.convolve(chi, block) % p
         m = k
     return chi[::-1].tolist()
-
-
-def _taylor_shift(coeffs: list, c: int, p: int) -> list:
-    """Coefficients of g(t + c) mod p from those of g, low to high."""
-    g = list(coeffs)
-    for i in range(len(g) - 1):
-        for j in range(len(g) - 2, i - 1, -1):
-            g[j] = (g[j] + c * g[j + 1]) % p
-    return g
 
 
 def gf_rank(a: np.ndarray, p: int) -> int:

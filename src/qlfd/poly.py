@@ -7,8 +7,10 @@ ExactMatrix. Division and gcd run on slices of that array (Cohen, A Course
 in Computational Algebraic Number Theory, Ch. 3).
 
 Restrictions of determinants to lines over F_p come from
-LinearPencil.det_line. interpolate is its independent test reference:
-Newton divided differences on scalars, sharing no code with the kernel.
+LinearPencil.det_line, which saito.reducedness_test turns into a
+UnivariatePoly. interpolate (Newton divided differences on scalars, sharing
+no code with det_line) has no caller in the package: the tests use it as
+the reference for det_line, and the benchmark's tracer names it.
 
 Squarefreeness is tested via gcd(a, a'); in characteristic p this is only
 valid when p exceeds the degree (PrimeTooSmall otherwise).

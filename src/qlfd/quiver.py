@@ -200,10 +200,6 @@ def cartan_matrix(q: Quiver):
     return [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
 
 
-def sym_form(q: Quiver, m, n) -> int:
-    return euler_form(q, m, n) + euler_form(q, n, m)
-
-
 def tits_form(q: Quiver, d) -> int:
     return euler_form(q, d, d)
 

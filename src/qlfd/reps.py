@@ -187,24 +187,16 @@ class SchurVerdict:
         return {"verdict": self.value, "trials": self.trials}
 
 
-def is_schur_root(q: Quiver, d, trials: int, field, rng, saito=None) -> SchurVerdict:
+def is_schur_root(q: Quiver, d, trials: int, field, rng) -> SchurVerdict:
     """One-sided probabilistic Schur test.
 
     Bricks form an open subset of the representation space, so a single
-    sampled brick is a proof; absence is never certified and the verdict
-    degrades to 'inconclusive' after the trial budget.
-
-    Each sample x is tested with is_brick, or, when the Saito matrix of
-    (q, d) is given (d sincere on a connected quiver with q(d) = 1), by
-    det M(x) != 0. The rows of M(x) are the images A.x of a basis of
-    gl(d) without one diagonal unit; the identity lies in End(x), so that
-    unit's image is minus the sum of the other diagonal units' images, and
-    rank M(x) = sum d_i^2 - dim End(x). M(x) has sum d_i^2 - 1 rows, so x is
-    a brick exactly when det M(x) != 0. Both tests see the same draws.
+    sampled brick (is_brick) is a proof; absence is never certified and the
+    verdict degrades to 'inconclusive' after the trial budget.
 
     The degrees report samples its brick here, since perp_candidates needs
-    one as a Representation. The lfd verdict draws no Schur sample: it reads
-    its brick off the first nonsingular anchor of the line test
+    one as a Representation. The lfd verdict draws no Schur sample: the
+    first nonsingular anchor of its line test is a brick
     (saito.reducedness_test).
     """
     d = check_dim(q, d)
@@ -212,8 +204,7 @@ def is_schur_root(q: Quiver, d, trials: int, field, rng, saito=None) -> SchurVer
         raise QuiverInputError("Schur test needs a positive dimension vector")
     for t in range(1, trials + 1):
         rep = sample_representation(q, d, field, rng)
-        if (is_brick(rep) if saito is None
-                else saito.det_at(coords_from_rep(rep), field) != 0):
+        if is_brick(rep):
             return SchurVerdict("yes", t, rep)
     return SchurVerdict("inconclusive", trials)
 

@@ -1,5 +1,5 @@
 """Reflections, real-root search, the Coxeter transformation on dimension
-vectors, defect, and tube combinatorics on tame quivers.
+vectors, and tube combinatorics on tame quivers.
 
 Convention fixed here once: the Coxeter matrix is Phi = -E^{-1} E^t acting on
 column vectors. Among the four sign/side candidates this is the one that
@@ -15,13 +15,7 @@ from operator import mul
 
 from .errors import CyclicQuiver, NotTame, QuiverInputError
 from .quiver import (Quiver, cartan_matrix, check_dim, classify_graph,
-                     euler_form, euler_matrix, tits_form, topological_order)
-
-
-def _reflect(c_row, j, v):
-    """r_j(v) = v - (Cv)_j e_j, from the row C_j of the Cartan matrix (C_jj = 2)."""
-    pairing = sum(a * x for a, x in zip(c_row, v))
-    return v[:j] + (v[j] - pairing,) + v[j + 1:]
+                     euler_matrix, topological_order)
 
 
 def reflect(q: Quiver, k, d):
@@ -30,42 +24,8 @@ def reflect(q: Quiver, k, d):
     if q.has_loop(k):
         raise QuiverInputError(f"cannot reflect at vertex {k!r}: loop present")
     ki = q.vertex_index(k)
-    return _reflect(cartan_matrix(q)[ki], ki, d)
-
-
-def is_real_root(q: Quiver, d, depth_bound: int = 10**6) -> str:
-    """'yes' / 'no' / 'inconclusive'.
-
-    A positive vector with q_Q = 1 is a real root iff some sequence of
-    simple reflections takes it to a unit vector. Height-descent decides
-    this: while v is not a unit, reflect at the first loop-free k with
-    (v, e_k)_Q > 0; the height strictly drops, and a mixed-sign result
-    certifies 'no' (orbits of roots never leave +/-). The bound caps total
-    descent.
-    """
-    d = check_dim(q, d)
-    if tits_form(q, d) != 1:
-        return "no"
-    if any(x < 0 for x in d):
-        return "no"
-    c = cartan_matrix(q)
-    free = [j for j in range(q.n_vertices) if c[j][j] == 2]
-    v = d
-    spent = 0
-    while sum(v) != 1:
-        for j in free:
-            w = _reflect(c[j], j, v)
-            if w[j] < v[j]:
-                break
-        else:
-            return "no"
-        if w[j] < 0:
-            return "no"
-        spent += v[j] - w[j]
-        if spent > depth_bound:
-            return "inconclusive"
-        v = w
-    return "yes"
+    pairing = sum(a * x for a, x in zip(cartan_matrix(q)[ki], d))
+    return d[:ki] + (d[ki] - pairing,) + d[ki + 1:]
 
 
 def root_layers(q: Quiver, bound):
@@ -165,21 +125,6 @@ def coxeter_matrix(q: Quiver) -> CoxeterMatrix:
         phi[s] = [x + y for x, y in zip(phi[s], columns[t])]
         phi_inv[t] = [x + y for x, y in zip(phi_inv[t], paths[s])]
     return CoxeterMatrix(tuple(zip(*phi)), tuple(zip(*phi_inv)))
-
-
-def tau_dim(q: Quiver, d, steps: int = 1):
-    """Iterate the Coxeter transformation on a dimension vector."""
-    d = check_dim(q, d)
-    return coxeter_matrix(q).apply(d, steps)
-
-
-def defect(q: Quiver, d) -> int:
-    """<delta, d>_Q on a tame quiver; zero exactly on regular vectors."""
-    d = check_dim(q, d)
-    gc = classify_graph(q)
-    if gc.kind != "tame":
-        raise NotTame(f"defect needs a tame quiver, got {gc.kind}")
-    return euler_form(q, gc.delta, d)
 
 
 # -- tubes ------------------------------------------------------------------------
@@ -283,20 +228,3 @@ def tube_ext_nonzero(t: Tube, x1, x2) -> bool:
         if (a1 + a) % p == a2 % p and (a1 + r1 - 1 + b) % p == (a2 + r2 - 1) % p:
             return True
     return False
-
-
-def tube_chain_acyclic(t: Tube, parts) -> bool:
-    """No directed Ext-cycle among tube parts whose dimension sum is < delta."""
-    delta = t.delta
-    n = len(delta)
-    total = [0] * n
-    for slot, length in parts:
-        pd = t.part_dim(slot, length)
-        for i, x in enumerate(pd):
-            total[i] += x
-    if not (all(total[i] <= delta[i] for i in range(n)) and tuple(total) != delta):
-        raise QuiverInputError("dimension sum of parts must be < delta")
-    k = len(parts)
-    return topological_order([[j for j in range(k) if j != i
-                               and tube_ext_nonzero(t, parts[i], parts[j])]
-                              for i in range(k)]) is not None

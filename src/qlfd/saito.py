@@ -111,14 +111,6 @@ def evaluate_f(s: SaitoMatrix, point):
     raise QuiverInputError("expected a Representation")
 
 
-def single_coordinate_basis_check(s: SaitoMatrix) -> bool:
-    """Every entry is a scalar multiple of one coordinate, and no coordinate
-    repeats within a row."""
-    rows, cols, coords, _ = s.pencil.terms.T
-    return (len(set(zip(rows, cols))) == len(rows)
-            and len(set(zip(rows, coords))) == len(rows))
-
-
 # -- reducedness ---------------------------------------------------------------------
 
 
@@ -147,20 +139,27 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
                      seed: int = 12345) -> ReducednessVerdict:
     """Probabilistic reducedness of f via random affine lines over F_p.
 
-    Each trial restricts f to x(t) = a + t b and reads off the univariate
-    polynomial in one pass (LinearPencil.anchored_det_line: one elimination
-    and a Danilevsky characteristic polynomial mod p), then tests degree-n
+    Each trial draws a line a + t b and reads the restriction of f to it off
+    one start point in one pass (LinearPencil.det_line: one elimination and
+    a Danilevsky characteristic polynomial mod p), then tests degree-n
     squarefreeness. The determinant has integer coefficients, so a single
     squarefree degree-n restriction is a sound certificate of reducedness.
     The verdict is not_reduced when no trial certifies, and
     identically_zero when the restriction vanished identically in every
     trial.
 
-    The polynomial is read at a point a + s b where M is nonsingular, and the
-    first such anchor is reported with its trial. M(x) has sum d_i^2 - 1
-    rows and rank sum d_i^2 - dim End(x) (see is_schur_root), so the anchor
-    is a brick over F_p: a nonzero determinant mod p makes f nonzero over
-    the integers, and d a Schur root.
+    det_line needs a start where M is nonsingular, so the start moves along
+    the line to a + s b for s = 0 ... n until M(a + s b) is nonsingular. The
+    restriction read from there is g(t + s) for the restriction g read from
+    a, which has the same degree and is squarefree exactly when g is. As
+    p > n, a restriction that is not identically zero is nonzero at one of
+    the n + 1 starts. The first nonsingular start is reported with its
+    trial as the anchor. M(x) has sum d_i^2 - 1 rows and rank
+    sum d_i^2 - dim End(x): its rows are the images A.x of a basis of gl(d)
+    without one diagonal unit, and that unit's image is minus the sum of
+    the other diagonal units' images, as the identity lies in End(x). So
+    the anchor is a brick over F_p: a nonzero determinant mod p makes f
+    nonzero over the integers, and d a Schur root.
     """
     if primes is None:
         primes = (2**31 - 1,)
@@ -186,13 +185,15 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
         b = [rng.randrange(p) for _ in range(n)]
         if all(x == 0 for x in b):
             b[0] = 1
-        found = s.pencil.anchored_det_line(a, b, fld)
-        if found is None:
+        for shift in range(n + 1):
+            start = tuple((x + shift * y) % p for x, y in zip(a, b))
+            coeffs = s.pencil.det_line(start, b, fld)
+            if coeffs is not None:
+                break
+        else:
             continue
-        shift, coeffs = found
         if anchor_trial is None:
-            anchor_trial = trial + 1
-            anchor = tuple((x + shift * y) % p for x, y in zip(a, b))
+            anchor_trial, anchor = trial + 1, start
         poly = UnivariatePoly(fld, coeffs)
         if poly.degree == n and poly.is_squarefree():
             return ReducednessVerdict("reduced", trial + 1, primes, seed,
@@ -223,31 +224,9 @@ def _weights(q: Quiver, d, vectors, side: str):
     return chi, chi @ grading
 
 
-def component_degree(q: Quiver, d, m, side: str) -> int:
-    """Degree of the relative invariant attached to an orthogonal vector m.
-
-    Its character paired with the stage grading through d (see _weights).
-    Shift-invariance of the grading is exactly the orthogonality
-    precondition.
-    """
-    d = check_dim(q, d)
-    m = check_dim(q, m)
-    if not is_tree(q):
-        raise QuiverInputError("component degrees need a tree quiver")
-    if side == "right":
-        if euler_form(q, d, m) != 0:
-            raise QuiverInputError("<d, m> must vanish for a right invariant")
-    elif side == "left":
-        if euler_form(q, m, d) != 0:
-            raise QuiverInputError("<m, d> must vanish for a left invariant")
-    else:
-        raise QuiverInputError("side must be 'left' or 'right'")
-    return int(_weights(q, d, [m], side)[1][0])
-
-
 def relative_invariant_det(q: Quiver, d, m_rep: Representation, side: str):
     """Evaluator x -> det c(x, m_rep) (right side) or det c(m_rep, x) (left
-    side) at points x of Rep(q, d); its degree is component_degree.
+    side) at points x of Rep(q, d); its degree is read off _weights.
 
     The c-matrix is square exactly under the Euler orthogonality of the
     side, which is checked.
@@ -309,10 +288,11 @@ def degree_sum_check(degrees, subset_size: int, target: int, limit: int = 100000
 def component_degrees_report(q: Quiver, d, config: Config) -> dict:
     """Certified component degrees of the discriminant of (q, d).
 
-    Pipeline: sample a brick x of dimension d (so f(x) != 0 and Rep(q, d)
-    is prehomogeneous), take orthogonal real-root candidates e, each with a
-    nonzero relative invariant c^e (perp_candidates), and attach to each
-    its character chi_e and degree (_weights). Then search
+    Pipeline: sample a brick x of dimension d with is_schur_root (so
+    f(x) != 0 and Rep(q, d) is prehomogeneous; no Saito matrix is built),
+    take orthogonal real-root candidates e, each with a nonzero relative
+    invariant c^e (perp_candidates), and attach to each its character chi_e
+    and degree (_weights). Then search
     (#vertices - 1)-subsets whose degrees sum to dim Rep, and certify a
     subset exactly when its characters sum to chi_f = (E - E^t) d, the
     character of the Saito determinant f. The semi-invariants of one
@@ -321,7 +301,9 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
     nonzero multiple of f. Distinct candidates have distinct characters,
     since det E = 1, and positive degrees, since a nonzero semi-invariant
     of nonzero character is a nonconstant homogeneous polynomial.
-    Non-unique certified degree multisets are flagged.
+    Non-unique certified degree multisets are flagged. With one vertex
+    (d = (1), f = 1) there is no component: the empty subset certifies, as
+    the empty product is 1 and chi_f = 0.
 
     The certificate does not depend on where the candidates came from, so
     the root box grows: on the left side, then on the right, for
@@ -352,8 +334,7 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
     report["dim_rep"] = n
     report["expected_components"] = k_target
 
-    saito = build_saito_matrix(q, d)
-    schur = is_schur_root(q, d, config.trials, field, rng, saito=saito)
+    schur = is_schur_root(q, d, config.trials, field, rng)
     if schur.value != "yes":
         report["reason"] = "Schur sampling inconclusive"
         return report
@@ -371,8 +352,8 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
                 layers.append(next(fresh))
             found = perp_candidates(q, d, layers[b - 1], side, schur.witness,
                                     config.trials, field, rng)
-            if not found:
-                continue
+            if not found and k_target:
+                continue  # with no component to find, the empty subset certifies
             vectors = sorted(vectors + found)
             chi, degrees = _weights(q, d, vectors, side)
             degrees = degrees.tolist()
@@ -466,6 +447,8 @@ def quasihom_certificate(q: Quiver, d, parts,
     """
     d = check_dim(q, d)
     parts = [check_dim(q, m) for m in parts]
+    if not all(map(is_positive, parts)):
+        raise QuiverInputError("every part must be positive")
     total = tuple(sum(m[i] for m in parts) for i in range(q.n_vertices))
     if total != d:
         raise QuiverInputError("parts do not sum to d")

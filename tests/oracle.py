@@ -6,8 +6,10 @@ determinant expansion. Also exact linear algebra over Q, independent of the
 library's arithmetic mod p (a fraction-free determinant, a Gauss-Jordan
 elimination and Newton interpolation on Fractions), the
 characteristic-polynomial and nullspace reference for the Dynkin / tame /
-wild split of a quiver, the component-degree search over the whole root
-box at once, the orthogonal-candidate probes through whole representations
+wild split of a quiver, the degree of one relative invariant and the
+component-degree search over the whole root box at once, the
+single-coordinate shape of a Saito matrix, the real-root test by height
+descent, the orthogonal-candidate probes through whole representations
 and c-matrices, the positive real roots in a box as a plain reflection
 closure, the tube search over every real root below delta, and the
 three-stage homogeneity certificate from an ext table.
@@ -21,11 +23,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from qlfd.quiver import (cartan_matrix, classify_graph, euler_form, euler_matrix,
-                         rep_dimension, topological_order)
+from qlfd.errors import QuiverInputError
+from qlfd.quiver import (cartan_matrix, check_dim, classify_graph, euler_form,
+                         euler_matrix, is_tree, rep_dimension, stages, tits_form,
+                         topological_order)
 from qlfd.reps import build_c_matrix, is_schur_root, perp_candidates, sample_representation
 from qlfd.roots import Tube, coxeter_matrix, positive_real_roots
-from qlfd.saito import HomogeneityCertificate, build_saito_matrix, component_degree
+from qlfd.saito import HomogeneityCertificate
 
 
 class MultiPoly:
@@ -304,8 +308,7 @@ def full_box_degrees(q, d, config):
     and e_i - sum_{i->j} e_j on the right.
     """
     field, rng = config.field(), config.rng()
-    schur = is_schur_root(q, d, config.trials, field, rng,
-                          saito=build_saito_matrix(q, d))
+    schur = is_schur_root(q, d, config.trials, field, rng)
     if schur.value != "yes":
         return {"certified": False}
     arrows = q.arrow_indices()
@@ -363,6 +366,76 @@ def perp_candidates_reference(q, d, roots, side, brick, trials, field, rng, prob
                 out.append(e)
                 break
     return out
+
+
+def component_degree(q, d, m, side):
+    """Degree of the relative invariant c^m of Rep(q, d) attached to a vector
+    m orthogonal to d on the given side: its character chi (E m on the
+    right, -E^t m on the left) paired with the stage grading h through d,
+    sum_i h(i) d_i chi_i. The grading is shift-invariant exactly under that
+    orthogonality, which is checked."""
+    d = check_dim(q, d)
+    m = check_dim(q, m)
+    if not is_tree(q):
+        raise QuiverInputError("component degrees need a tree quiver")
+    if side == "right":
+        if euler_form(q, d, m) != 0:
+            raise QuiverInputError("<d, m> must vanish for a right invariant")
+    elif side == "left":
+        if euler_form(q, m, d) != 0:
+            raise QuiverInputError("<m, d> must vanish for a left invariant")
+    else:
+        raise QuiverInputError("side must be 'left' or 'right'")
+    e = euler_matrix(q)
+    n = q.n_vertices
+    if side == "right":
+        chi = [sum(e[i][j] * m[j] for j in range(n)) for i in range(n)]
+    else:
+        chi = [-sum(e[j][i] * m[j] for j in range(n)) for i in range(n)]
+    h = stages(q).h
+    return sum(h[v] * d[i] * chi[i] for i, v in enumerate(q.vertices))
+
+
+def single_coordinate_basis_check(s) -> bool:
+    """Every entry of the Saito matrix s is a scalar multiple of one
+    coordinate, and no coordinate repeats within a row."""
+    rows, cols, coords, _ = s.pencil.terms.T
+    return (len(set(zip(rows, cols))) == len(rows)
+            and len(set(zip(rows, coords))) == len(rows))
+
+
+def is_real_root(q, d, depth_bound: int = 10**6) -> str:
+    """'yes' / 'no' / 'inconclusive'.
+
+    A positive vector with q_Q = 1 is a real root iff some sequence of
+    simple reflections takes it to a unit vector. Height-descent decides
+    this: while v is not a unit, reflect at the first loop-free k with
+    (v, e_k)_Q > 0; the height strictly drops, and a mixed-sign result
+    certifies 'no' (orbits of roots never leave +/-). The bound caps total
+    descent.
+    """
+    d = check_dim(q, d)
+    if tits_form(q, d) != 1 or any(x < 0 for x in d):
+        return "no"
+    c = cartan_matrix(q)
+    free = [j for j in range(q.n_vertices) if c[j][j] == 2]
+    v = d
+    spent = 0
+    while sum(v) != 1:
+        for j in free:
+            pairing = sum(a * x for a, x in zip(c[j], v))
+            if pairing > 0:
+                break
+        else:
+            return "no"
+        w = v[:j] + (v[j] - pairing,) + v[j + 1:]
+        if w[j] < 0:
+            return "no"
+        spent += pairing
+        if spent > depth_bound:
+            return "inconclusive"
+        v = w
+    return "yes"
 
 
 def reflection_closure_layers(q, box):

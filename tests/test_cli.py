@@ -102,6 +102,25 @@ def test_degrees_wild_star_with_many_candidates(tmp_path, capsys):
     assert report["degrees"] == [1, 1, 1, 1, 1]
 
 
+def test_degrees_with_no_component(tmp_path, capsys):
+    # d = (1) on one vertex, directly or as the support of (1, 0) on A2: f = 1,
+    # and the empty subset of candidates certifies it, as lfd says degree 0
+    for data in ({"vertices": ["1", "2"], "arrows": [["1", "2"]], "dim": {"1": 1, "2": 0}},
+                 {"vertices": ["1"], "arrows": [], "dim": {"1": 1}}):
+        file = tmp_path / "q.json"
+        file.write_text(json.dumps(data))
+        code, report = run(capsys, "degrees", str(file))
+        assert code == 0
+        assert {key: report[key] for key in (
+            "certified", "side", "degrees", "vectors", "subsets_certified",
+            "unique_multiset", "candidates_considered", "search_bound")} == {
+            "certified": True, "side": "left", "degrees": [], "vectors": [],
+            "subsets_certified": 1, "unique_multiset": True,
+            "candidates_considered": 0, "search_bound": 1}
+        code, report = run(capsys, "lfd", str(file))
+        assert (code, report["verdict"], report["degree"]) == (0, "linear_free", 0)
+
+
 def test_reflect_and_normal_form(capsys):
     code, report = run(capsys, "reflect", path("a2.json"), "1")
     assert code == 0
@@ -178,6 +197,9 @@ def test_homogeneity_rejects_what_it_would_ignore(capsys):
             (["--split", "1,0"], "--split needs the form m1,m2,...:n1,n2,..."),
             (["--split", ""], "--split needs the form m1,m2,...:n1,n2,..."),
             (["--split", "a,b:1,0"], "bad vector 'a,b'"),
+            (["--split", "1,1:0,0"], "both split parts must be positive"),
+            (["--parts", "1,1:0,0"], "every part must be positive"),
+            (["--parts", "2,1:-1,0"], "every part must be positive"),
             ([], "homogeneity needs --split or --parts"),
             (["--split", "1,0:0,1", "--parts", "1,0:0,1"],
              "qlfd homogeneity: argument --parts: not allowed with argument --split")):

@@ -59,6 +59,19 @@ def test_lfd_draws_no_schur_sample(name, prime, monkeypatch):
     assert run_cli(name, "lfd", prime) == want
 
 
+@pytest.mark.parametrize("name,prime", [(name, None) for name in NAMES]
+                         + [(n, p) for n, c, p in PRIME_CASES if c == "degrees"])
+def test_degrees_builds_no_saito_matrix(name, prime, monkeypatch):
+    # the brick of degrees is sampled by is_brick alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("degrees used the Saito matrix")
+
+    monkeypatch.setattr(qlfd.saito, "build_saito_matrix", refuse)
+    monkeypatch.setattr(qlfd.saito.SaitoMatrix, "det_at", refuse)
+    want = json.loads(golden_path(name, "degrees", prime).read_text(encoding="utf-8"))
+    assert run_cli(name, "degrees", prime) == want
+
+
 @pytest.mark.parametrize("name,command", CASES)
 def test_cli_output_matches_golden(name, command):
     want = json.loads(golden_path(name, command).read_text(encoding="utf-8"))

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -360,21 +361,24 @@ def _line_values(pencil, a, b, field, nodes):
 
 
 def _check_det_line(pencil, a, b, field):
-    """det_line against interpolation on n + 1 nodes (p > n) or against the
-    determinant at every t in F_p (p <= n)."""
-    coeffs = pencil.det_line(a, b, field)
+    """det_line is None exactly at a singular start. At the first
+    nonsingular start a + s b, s < min(n + 1, p), it matches interpolation
+    on n + 1 nodes (p > n) or the determinant at every t in F_p (p <= n)."""
     n, p = pencil.n, field.p
-    if p > n:
-        vals = _line_values(pencil, a, b, field, range(n + 1))
-        assert (coeffs is None) == (not any(vals))
+    for s in range(min(n + 1, p)):
+        start = [(x + s * y) % p for x, y in zip(a, b)]
+        coeffs = pencil.det_line(start, b, field)
+        assert (coeffs is None) == (_oracle_det(pencil.at(start, field), field) == 0)
         if coeffs is not None:
-            assert UnivariatePoly(field, coeffs) == interpolate(field, enumerate(vals))
+            break
     else:
-        vals = _line_values(pencil, a, b, field, range(p))
-        if coeffs is None:
-            assert not any(vals)
-        else:
-            assert [_evaluate(coeffs, t, p) for t in range(p)] == vals
+        return  # every start is singular
+    nodes = range(n + 1) if p > n else range(p)
+    vals = _line_values(pencil, start, b, field, nodes)
+    if p > n:
+        assert UnivariatePoly(field, coeffs) == interpolate(field, zip(nodes, vals))
+    else:
+        assert [_evaluate(coeffs, t, p) for t in nodes] == vals
 
 
 @settings(max_examples=300, deadline=None)
@@ -385,17 +389,20 @@ def test_det_line_matches_interpolation(case, p):
 
 @pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
 def test_det_line_singular_start_on_saito_pencil(p):
-    # f vanishes at the origin, so the line from a = 0 must be re-anchored
+    # f vanishes at the origin, so the line from a = 0 has no polynomial
     s = build_saito_matrix(d4_in(), (1, 1, 1, 2))
     rng = random.Random(p)
     b = [0] * s.n
     while s.det_at(b, GF(p)) == 0:
         b = [rng.randrange(p) for _ in range(s.n)]
     assert s.det_at([0] * s.n, GF(p)) == 0
+    assert s.pencil.det_line([0] * s.n, b, GF(p)) is None
     _check_det_line(s.pencil, [0] * s.n, b, GF(p))
-    coeffs = s.pencil.det_line([0] * s.n, b, GF(p))
-    # f is homogeneous of degree n: f(t b) = f(b) t^n
-    assert coeffs == [0] * s.n + [s.det_at(b, GF(p))]
+    # f is homogeneous of degree n: from the next start b, f(b + t b) is
+    # f(b) (1 + t)^n
+    fb = s.det_at(b, GF(p))
+    assert s.pencil.det_line(b, b, GF(p)) == [fb * math.comb(s.n, i) % p
+                                              for i in range(s.n + 1)]
 
 
 def test_det_line_of_the_empty_matrix():

@@ -4,16 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlfd import (classify_graph, coxeter_matrix, defect, euler_matrix,
-                  find_tubes, is_real_root, positive_real_roots, reflect,
-                  tau_dim, tits_form, tube_chain_acyclic, tube_ext_nonzero)
+from qlfd import (classify_graph, coxeter_matrix, euler_form, euler_matrix,
+                  find_tubes, positive_real_roots, reflect, tits_form,
+                  tube_ext_nonzero)
 from qlfd import quiver
 from qlfd.errors import CyclicQuiver, NotTame, QuiverInputError
 from qlfd.quiver import Quiver, cartan_matrix
 from qlfd.roots import root_layers, topological_order
 
 from conftest import a2, a3, cycle, d4_in, kronecker, random_tree_quiver
-from oracle import reflection_closure_layers, tubes_from_every_root
+from oracle import is_real_root, reflection_closure_layers, tubes_from_every_root
 
 
 def test_reflect_examples():
@@ -63,10 +63,10 @@ def test_coxeter_cyclic_rejected():
 
 
 def test_coxeter_dynkin_orbit_leaves_positive_orthant():
-    q = a2()
+    cm = coxeter_matrix(a2())
     v = (1, 1)
     for _ in range(10):
-        v = tau_dim(q, v, 1)
+        v = cm.apply(v)
         if any(x < 0 for x in v):
             break
     else:
@@ -75,36 +75,34 @@ def test_coxeter_dynkin_orbit_leaves_positive_orthant():
 
 def test_coxeter_orbit_on_e7_vector(e7_pair):
     q7, d7 = e7_pair
+    cm = coxeter_matrix(q7)
     v = d7
     for _ in range(12):
-        v = tau_dim(q7, v, 1)
+        v = cm.apply(v)
         assert all(x >= 0 for x in v)
         assert tits_form(q7, v) == 1
-    assert tau_dim(q7, d7, 3) == d7  # regular of tube period 3
+    assert cm.apply(d7, 3) == d7  # regular of tube period 3
 
 
 def test_coxeter_preserves_defect(e7_pair):
     q7, _ = e7_pair
+    delta = classify_graph(q7).delta
     rng = random.Random(5)
     cm = coxeter_matrix(q7)
     for _ in range(25):
         d = tuple(rng.randint(0, 4) for _ in range(q7.n_vertices))
-        assert defect(q7, cm.apply(d)) == defect(q7, d)
+        assert euler_form(q7, delta, cm.apply(d)) == euler_form(q7, delta, d)
 
 
 def test_defect_examples(e7_pair):
+    # the defect <delta, d> vanishes exactly on regular vectors
     q7, d7 = e7_pair
-    gc = classify_graph(q7)
-    assert defect(q7, gc.delta) == 0
-    assert defect(q7, d7) == 0
+    delta = classify_graph(q7).delta
+    assert euler_form(q7, delta, delta) == 0
+    assert euler_form(q7, delta, d7) == 0
     src = "1"  # a source of the E7~ orientation
     e = tuple(1 if v == src else 0 for v in q7.vertices)
-    assert defect(q7, e) != 0
-
-
-def test_defect_needs_tame():
-    with pytest.raises(NotTame):
-        defect(a2(), (1, 1))
+    assert euler_form(q7, delta, e) != 0
 
 
 def test_positive_real_roots_a2():
@@ -376,12 +374,6 @@ def test_tube_length_bound(e7_pair):
         tube_ext_nonzero(t, (0, t.period + 1), (0, 1))
 
 
-def test_tube_chain_single_part(e7_pair):
-    q7, _ = e7_pair
-    t = next(t for t in find_tubes(q7) if t.period == 4)
-    assert tube_chain_acyclic(t, [(0, 1)])
-
-
 def test_tube_no_mutual_ext_below_delta(e8_pair):
     # Exhaustive over all part pairs in every tube of period <= 5: under the
     # dimension bound there is never ext in both directions.
@@ -408,14 +400,6 @@ def test_tube_chain_lemma_hypotheses(e8_pair):
     for i in range(len(chain) - 1):
         assert tube_ext_nonzero(t, chain[i], chain[i + 1])
     assert not tube_ext_nonzero(t, chain[-1], chain[0])
-    assert tube_chain_acyclic(t, chain)
-
-
-def test_tube_chain_dimension_guard(e7_pair):
-    q7, _ = e7_pair
-    t = next(t for t in find_tubes(q7) if t.period == 2)
-    with pytest.raises(QuiverInputError):
-        tube_chain_acyclic(t, [(0, 1), (1, 1)])  # sums to delta exactly
 
 
 def test_topological_order():

@@ -7,25 +7,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qlfd.saito
-from qlfd import (GF, Quiver, build_saito_matrix, component_degree, component_degrees_report, degree_sum_check,
+from qlfd import (GF, Quiver, build_saito_matrix, component_degrees_report, degree_sum_check,
                   euler_form, euler_homogeneity_witness, evaluate_f,
                   find_tubes, lfd_verdict, quiver_from_json,
                   quasihom_certificate, reducedness_test,
                   relative_invariant_det, sample_representation,
-                  single_coordinate_basis_check, stages, tits_form)
+                  stages, tits_form)
 from qlfd.config import Config
 from qlfd.errors import NonSquare, NotSincere, PrimeTooSmall, QuiverInputError
 from qlfd.matrix import LinearPencil
 from qlfd.quiver import euler_matrix, rep_dimension
 from qlfd.reps import (HomExtReport, Representation, SchurVerdict, build_c_matrix,
-                       coords_from_rep, is_brick, is_schur_root, rep_from_coords)
+                       coords_from_rep, is_brick, rep_from_coords)
 from qlfd.roots import positive_real_roots
 from qlfd.saito import SaitoMatrix, _weak_grouping
 
 from conftest import (E7_JSON, a2, a3, cycle, d4_in, d4_out, kronecker,
                       random_tree_quiver)
-from oracle import (MultiPoly, bareiss_det, expand_f_symbolic, ext_digraph_certificate,
-                    full_box_degrees, product, quadratic_gram_rank)
+from oracle import (MultiPoly, bareiss_det, component_degree, expand_f_symbolic,
+                    ext_digraph_certificate, full_box_degrees, product,
+                    quadratic_gram_rank, single_coordinate_basis_check)
 
 F = GF(2**31 - 1)
 CFG = Config()
@@ -168,7 +169,7 @@ def test_saito_loop_cells_hold_two_coordinates():
 
 def _check_saito_is_transposed_c(q, d, field, rng):
     # M(x) is c(x, x) transposed, without the row of the dropped diagonal
-    # unit: the identity behind is_schur_root(saito=)
+    # unit: the identity behind the brick at the line test's anchor
     s = build_saito_matrix(q, d)
     for _ in range(3):
         x = sample_representation(q, d, field, rng)
@@ -624,11 +625,6 @@ def test_schur_trials_match_brick_loop_at_p3(seed, trials):
     rng = random.Random(seed)
     q, d = _sincere_root(rng, rng.randint(2, 4), 2)
     config = Config(prime=3, seed=seed, trials=trials)
-    field = config.field()
-    ref = is_schur_root(q, d, trials, field, config.rng())  # the is_brick loop
-    via_saito = is_schur_root(q, d, trials, field, config.rng(),
-                              saito=build_saito_matrix(q, d))
-    assert via_saito == ref  # same verdict, trials and witness
     if rep_dimension(q, d) >= 3:
         # the line test needs p > dim Rep, whatever the Schur draws would say
         with pytest.raises(PrimeTooSmall):
@@ -664,3 +660,15 @@ def test_line_anchor_is_a_brick(seed, p, trials):
     assert all(0 <= x < p for x in red.anchor)
     assert is_brick(rep_from_coords(q, d, red.anchor, field))
     assert s.det_at(red.anchor, field) != 0
+    # replaying the line draws, the anchor is the first start a + s b,
+    # s <= n, where M is nonsingular, on the first line that has one
+    draw = random.Random(seed)
+    firsts = []
+    for _ in range(red.anchor_trial):
+        a = [draw.randrange(p) for _ in range(s.n)]
+        b = [draw.randrange(p) for _ in range(s.n)]
+        if not any(b):
+            b[0] = 1
+        starts = (tuple((x + k * y) % p for x, y in zip(a, b)) for k in range(s.n + 1))
+        firsts.append(next((x for x in starts if s.det_at(x, field)), None))
+    assert firsts == [None] * (red.anchor_trial - 1) + [red.anchor]
