@@ -22,8 +22,6 @@ def test_all_is_the_readme_api():
 
 
 def test_every_api_name_resolves():
-    for name in qlfd.__all__:
-        assert getattr(qlfd, name) is not None, name
     namespace = {}
     exec("from qlfd import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(qlfd.__all__)
