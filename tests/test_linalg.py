@@ -232,7 +232,7 @@ def test_det_is_the_rref_scale_on_saito_matrices(field):
         a = s.pencil.at([field.random(rng) for _ in range(s.n)], field)
         _, piv, scale = _rref(a.copy(), field.p)
         assert ExactMatrix(field, a).det() == (scale if len(piv) == s.n else 0), path.name
-    assert trees == 5  # a2, d4, dt4, e7, e8
+    assert trees == 6  # a2, a5, d4, dt4, e7, e8
 
 
 def _stacked_cells_pencil():
