@@ -27,8 +27,8 @@ GOLDEN = DATA / "golden"
 NAMES = ("a2", "a5", "cycle3", "d4", "dt4", "e7", "e8")
 COMMANDS = ("analyze", "lfd", "degrees", "tubes", "normal-form")
 CASES = [(name, command) for name in NAMES for command in COMMANDS]
-PRIME_CASES = [("a5", "lfd", 5), ("d4", "degrees", 3), ("d4", "lfd", 7),
-               ("e7", "degrees", 29), ("e7", "degrees", 37)]
+PRIME_CASES = [("a2", "lfd", 5), ("a5", "lfd", 5), ("d4", "degrees", 3),
+               ("d4", "lfd", 7), ("e7", "degrees", 29), ("e7", "degrees", 37)]
 
 
 def run_cli(name, command, prime=None):
