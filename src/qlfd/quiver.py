@@ -377,8 +377,9 @@ def quiver_to_json(q: Quiver, d=None) -> dict:
 def quiver_from_json(data):
     """Parse {"vertices": [...], "arrows": [[s,t],...], "dim": {v: n}}.
 
-    vertices must be a non-empty array, each arrow a two-element array and
-    each dim entry an integer; nothing else is read as one of them.
+    vertices must be a non-empty array, each arrow a two-element array, each
+    vertex id a string or an integer, and each dim entry an integer keyed by
+    a vertex; nothing else is read as one of them.
     """
     try:
         vertices, arrows = data["vertices"], data["arrows"]
@@ -389,6 +390,9 @@ def quiver_from_json(data):
     if not (isinstance(arrows, list)
             and all(isinstance(a, list) and len(a) == 2 for a in arrows)):
         raise QuiverInputError("arrows must be an array of [source, target] arrays")
+    ids = vertices + [v for arrow in arrows for v in arrow]
+    if not all(type(v) in (str, int) for v in ids):
+        raise QuiverInputError("vertex ids must be strings or integers")
     vertices = tuple(str(v) for v in vertices)
     arrows = tuple((str(s), str(t)) for s, t in arrows)
     q = Quiver(vertices, arrows)
@@ -400,6 +404,9 @@ def quiver_from_json(data):
         missing = [v for v in vertices if v not in dim]
         if missing:
             raise QuiverInputError(f"dim missing vertices {missing}")
+        unknown = [v for v in dim if v not in vertices]
+        if unknown:
+            raise QuiverInputError(f"dim names unknown vertices {unknown}")
         d = tuple(dim[v] for v in vertices)
         if not all(type(x) is int for x in d):
             raise QuiverInputError(f"dim entries must be integers, got {list(d)}")

@@ -135,6 +135,34 @@ class ReducednessVerdict:
         return out
 
 
+def _kernel_line(pencil: LinearPencil, a, b, fld):
+    """The first start a + s b, s = 0 ... n, where M is nonsingular, and
+    whether the restriction of f read there is squarefree of degree n; None
+    when M is singular at every start."""
+    p, n = fld.p, pencil.n
+    for shift in range(n + 1):
+        start = tuple((x + shift * y) % p for x, y in zip(a, b))
+        coeffs = pencil.det_line(start, b, fld)
+        if coeffs is not None:
+            poly = UnivariatePoly(fld, coeffs)
+            return start, poly.degree == n and poly.is_squarefree()
+    return None
+
+
+def _factored_line(det_n, a, b, p):
+    """_kernel_line for a column-scaled pencil M(x) = N diag(x), with
+    det_n = det N mod p: the restriction det N * prod_j (a_j + t b_j) is
+    read off its linear factors."""
+    if det_n:
+        for shift in range(len(a) + 1):
+            start = tuple((x + shift * y) % p for x, y in zip(a, b))
+            if all(start):
+                # degree n needs every b_j nonzero; squarefree, distinct roots
+                return start, all(b) and len(
+                    {x * pow(y, -1, p) % p for x, y in zip(a, b)}) == len(a)
+    return None
+
+
 def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
                      seed: int = 12345) -> ReducednessVerdict:
     """Probabilistic reducedness of f via random affine lines over F_p.
@@ -160,6 +188,19 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
     the other diagonal units' images, as the identity lies in End(x). So
     the anchor is a brick over F_p: a nonzero determinant mod p makes f
     nonzero over the integers, and d a Schur root.
+
+    A pencil whose every term sits in its own coordinate's column is
+    column-scaled: M(x) = N diag(x) with N = M(1, ..., 1), so
+    f(a + t b) = det N * prod_j (a_j + t b_j). The Saito pencil of a thin d
+    (every entry of the support 1, as for the normal crossing divisor) is
+    one, since every arrow block is 1 x 1. Its lines skip det_line: det N
+    mod p is taken once per prime, M(a + s b) is nonsingular exactly when
+    det N and every a_j + s b_j are nonzero mod p, and the restriction has
+    degree n exactly when every b_j is nonzero. A product of linear factors
+    of degree n is squarefree exactly when its roots -a_j / b_j are
+    distinct. These are the decisions that det_line and is_squarefree make
+    on the same line, so verdict, trial count, witness prime and anchor are
+    those of the kernel path, which every other pencil takes.
     """
     if primes is None:
         primes = (2**31 - 1,)
@@ -169,6 +210,9 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
     if not primes:
         raise ValueError("primes must not be empty")
     n = s.n
+    terms = s.pencil.terms
+    scaled = bool((terms[:, 1] == terms[:, 2]).all())
+    det_n = {}  # det N mod p of a column-scaled pencil, per prime
     rng = random.Random(seed)
     anchor_trial = anchor = None
     for trial in range(trials):
@@ -185,17 +229,18 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
         b = [rng.randrange(p) for _ in range(n)]
         if all(x == 0 for x in b):
             b[0] = 1
-        for shift in range(n + 1):
-            start = tuple((x + shift * y) % p for x, y in zip(a, b))
-            coeffs = s.pencil.det_line(start, b, fld)
-            if coeffs is not None:
-                break
+        if scaled:
+            if p not in det_n:
+                det_n[p] = s.pencil.det((1,) * n, fld)
+            line = _factored_line(det_n[p], a, b, p)
         else:
+            line = _kernel_line(s.pencil, a, b, fld)
+        if line is None:
             continue
+        start, certified = line
         if anchor_trial is None:
             anchor_trial, anchor = trial + 1, start
-        poly = UnivariatePoly(fld, coeffs)
-        if poly.degree == n and poly.is_squarefree():
+        if certified:
             return ReducednessVerdict("reduced", trial + 1, primes, seed,
                                       witness_prime=p, degree=n,
                                       anchor_trial=anchor_trial, anchor=anchor)

@@ -8,7 +8,8 @@ elimination and Newton interpolation on Fractions), the
 characteristic-polynomial and nullspace reference for the Dynkin / tame /
 wild split of a quiver, the degree of one relative invariant and the
 component-degree search over the whole root box at once, the
-single-coordinate shape of a Saito matrix, the real-root test by height
+single-coordinate shape of a Saito matrix, the line test of reducedness
+through the line kernel alone, the real-root test by height
 descent, the orthogonal-candidate probes through whole representations
 and c-matrices, the positive real roots in a box as a plain reflection
 closure, the tube search over every real root below delta, and the
@@ -19,17 +20,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
-from qlfd.errors import QuiverInputError
+from qlfd.errors import PrimeTooSmall, QuiverInputError
+from qlfd.fields import GF
+from qlfd.poly import UnivariatePoly
 from qlfd.quiver import (cartan_matrix, check_dim, classify_graph, euler_form,
                          euler_matrix, is_tree, rep_dimension, stages, tits_form,
                          topological_order)
 from qlfd.reps import build_c_matrix, is_schur_root, perp_candidates, sample_representation
 from qlfd.roots import Tube, coxeter_matrix, positive_real_roots
-from qlfd.saito import HomogeneityCertificate
+from qlfd.saito import HomogeneityCertificate, ReducednessVerdict
 
 
 class MultiPoly:
@@ -402,6 +406,47 @@ def single_coordinate_basis_check(s) -> bool:
     rows, cols, coords, _ = s.pencil.terms.T
     return (len(set(zip(rows, cols))) == len(rows)
             and len(set(zip(rows, coords))) == len(rows))
+
+
+def reducedness_reference(s, trials: int = 3, primes=None,
+                          seed: int = 12345) -> ReducednessVerdict:
+    """saito.reducedness_test with every line read by LinearPencil.det_line
+    and UnivariatePoly.is_squarefree, whatever the shape of the pencil."""
+    primes = (2**31 - 1,) if primes is None else tuple(primes)
+    n = s.n
+    rng = random.Random(seed)
+    anchor_trial = anchor = None
+    for trial in range(trials):
+        p = primes[trial % len(primes)]
+        if p <= n:
+            raise PrimeTooSmall(f"prime {p} <= degree {n}")
+        fld = GF(p)
+        if n == 0:
+            return ReducednessVerdict("reduced", trial + 1, primes, seed,
+                                      witness_prime=p, degree=0,
+                                      anchor_trial=1, anchor=())
+        a = [rng.randrange(p) for _ in range(n)]
+        b = [rng.randrange(p) for _ in range(n)]
+        if all(x == 0 for x in b):
+            b[0] = 1
+        for shift in range(n + 1):
+            start = tuple((x + shift * y) % p for x, y in zip(a, b))
+            coeffs = s.pencil.det_line(start, b, fld)
+            if coeffs is not None:
+                break
+        else:
+            continue
+        if anchor_trial is None:
+            anchor_trial, anchor = trial + 1, start
+        poly = UnivariatePoly(fld, coeffs)
+        if poly.degree == n and poly.is_squarefree():
+            return ReducednessVerdict("reduced", trial + 1, primes, seed,
+                                      witness_prime=p, degree=n,
+                                      anchor_trial=anchor_trial, anchor=anchor)
+    if anchor_trial is None:
+        return ReducednessVerdict("identically_zero", trials, primes, seed)
+    return ReducednessVerdict("not_reduced", trials, primes, seed,
+                              anchor_trial=anchor_trial, anchor=anchor)
 
 
 def is_real_root(q, d, depth_bound: int = 10**6) -> str:

@@ -224,14 +224,18 @@ def test_bad_input_exit_code(tmp_path, capsys):
     missing_dim.write_text(json.dumps({"vertices": ["1"], "arrows": []}))
     assert main(["lfd", str(missing_dim)]) == 1
     capsys.readouterr()
-    # dim must be an object of JSON integers: no lists, strings, floats or bools
-    # vertices must be an array and each arrow a two-element array
+    # dim must be an object of JSON integers keyed by vertices: no lists,
+    # strings, floats or bools, and no key that names no vertex
+    # vertices must be an array of strings or integers and each arrow a
+    # two-element array
     datas = [{"vertices": ["1", "2"], "arrows": [["1", "2"]], "dim": dim}
              for dim in ({"1": [1], "2": 1}, "12", {"1": 1.5, "2": 1},
-                         {"1": True, "2": 1})]
+                         {"1": True, "2": 1}, {"1": 1, "2": 1, "3": 7})]
     datas += [{"vertices": vertices, "arrows": arrows, "dim": {"1": 1, "2": 1}}
               for vertices, arrows in (("12", [["1", "2"]]), (["1", "2"], ["12"]),
                                        (["1", "2"], [["1", "2", "2"]]))]
+    datas.append({"vertices": ["1", None], "arrows": [["1", None]],
+                  "dim": {"1": 1, "None": 1}})
     for data in datas:
         bad.write_text(json.dumps(data))
         assert main(["lfd", str(bad)]) == 1

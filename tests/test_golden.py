@@ -21,6 +21,8 @@ import pytest
 import qlfd.saito
 from qlfd import cli
 from qlfd.config import Config
+from qlfd.matrix import LinearPencil
+from qlfd.poly import UnivariatePoly
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -55,6 +57,20 @@ def test_lfd_draws_no_schur_sample(name, prime, monkeypatch):
 
     monkeypatch.setattr(qlfd.saito, "is_schur_root", refuse)
     monkeypatch.setattr(Config, "rng", refuse)
+    want = json.loads(golden_path(name, "lfd", prime).read_text(encoding="utf-8"))
+    assert run_cli(name, "lfd", prime) == want
+
+
+@pytest.mark.parametrize("name,prime", [(name, prime) for name in ("a2", "a5")
+                                        for prime in (None, 5)])
+def test_lfd_on_thin_pairs_runs_no_line_kernel(name, prime, monkeypatch):
+    # d = (1, ..., 1) on a tree makes the Saito pencil column-scaled, and
+    # the line test reads every line off its linear factors
+    def refuse(*args, **kwargs):
+        raise AssertionError("lfd ran the line kernel")
+
+    monkeypatch.setattr(LinearPencil, "det_line", refuse)
+    monkeypatch.setattr(UnivariatePoly, "is_squarefree", refuse)
     want = json.loads(golden_path(name, "lfd", prime).read_text(encoding="utf-8"))
     assert run_cli(name, "lfd", prime) == want
 

@@ -26,7 +26,8 @@ from conftest import (E7_JSON, a2, a3, cycle, d4_in, d4_out, kronecker,
                       random_tree_quiver)
 from oracle import (MultiPoly, bareiss_det, component_degree, expand_f_symbolic,
                     ext_digraph_certificate, full_box_degrees, product,
-                    quadratic_gram_rank, single_coordinate_basis_check)
+                    quadratic_gram_rank, reducedness_reference,
+                    single_coordinate_basis_check)
 
 F = GF(2**31 - 1)
 CFG = Config()
@@ -672,3 +673,75 @@ def test_line_anchor_is_a_brick(seed, p, trials):
         starts = (tuple((x + k * y) % p for x, y in zip(a, b)) for k in range(s.n + 1))
         firsts.append(next((x for x in starts if s.det_at(x, field)), None))
     assert firsts == [None] * (red.anchor_trial - 1) + [red.anchor]
+
+
+SMALL_AND_DEFAULT_PRIMES = [3, 5, 7, 11, 13, 2**31 - 1]
+
+
+def _column_scaled_pencil(rng, n, p):
+    """A random pencil N diag(x) on n coordinates. Some coefficients are
+    multiples of p, and some cells hold their coordinate twice, so det N is
+    often 0 mod p; every cell sum stays within int64 for p < 2^31."""
+    coeffs = (-2, -1, 1, 2, p, -p)
+    terms = [(r, c, c, rng.choice(coeffs)) for r in range(n) for c in range(n)
+             if rng.random() < 0.6]
+    terms += [(r, c, c, rng.choice(coeffs)) for r, c, _, _ in
+              rng.sample(terms, min(len(terms), 2))]
+    return SaitoMatrix(None, None, (), LinearPencil(n, terms))
+
+
+def _line_branches(s, red):
+    """What decided each line that the line test read, replayed from its
+    draws with det N taken over the integers."""
+    n = s.n
+    ones = np.zeros((n, n), dtype=object)
+    for i, j, _, c in s.pencil.terms.tolist():
+        ones[i, j] += c
+    det_n = int(bareiss_det(ones.tolist()))
+    draw = random.Random(red.seed)
+    for trial in range(red.trials):
+        p = red.primes[trial % len(red.primes)]
+        a = [draw.randrange(p) for _ in range(n)]
+        b = [draw.randrange(p) for _ in range(n)]
+        if not any(b):
+            b[0] = 1
+        if det_n % p == 0:
+            yield "det N = 0"
+        elif not any(all((x + k * y) % p for x, y in zip(a, b)) for k in range(n + 1)):
+            yield "no nonsingular shift"
+        elif not all(b):
+            yield "zero b_j"
+        elif len({x * pow(y, -1, p) % p for x, y in zip(a, b)}) < n:
+            yield "repeated ratio"
+        else:
+            yield "certified"
+
+
+def test_factored_lines_match_the_kernel_path():
+    # on a column-scaled pencil every line is read off its linear factors;
+    # the kernel path reaches the same verdict, trial count, witness prime,
+    # degree and anchor, on every branch of the factored reading
+    taken = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           primes=st.lists(st.sampled_from(SMALL_AND_DEFAULT_PRIMES),
+                           min_size=1, max_size=2),
+           trials=st.integers(min_value=1, max_value=4),
+           tree=st.booleans())
+    def agree(seed, primes, trials, tree):
+        rng = random.Random(seed)
+        top = min(min(primes) - 1, 6)  # the line test needs p > n
+        if tree:
+            q = random_tree_quiver(rng, rng.randint(2, top + 1))
+            s = build_saito_matrix(q, (1,) * q.n_vertices)
+        else:
+            s = _column_scaled_pencil(rng, rng.randint(1, top), primes[0])
+        assert (s.pencil.terms[:, 1] == s.pencil.terms[:, 2]).all()
+        red = reducedness_test(s, trials, primes, seed)
+        assert red == reducedness_reference(s, trials, primes, seed)
+        taken.update(_line_branches(s, red))
+
+    agree()
+    assert set(taken) == {"det N = 0", "no nonsingular shift", "zero b_j",
+                          "repeated ratio", "certified"}, taken
