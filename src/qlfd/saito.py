@@ -5,8 +5,10 @@ on the representation space ("Saito matrix"): its determinant cuts out the
 discriminant, and the divisor is linear free exactly when that determinant
 is reduced of degree equal to the ambient dimension. This module builds the
 matrix, evaluates and line-restricts the determinant over prime fields,
-tests reducedness probabilistically, derives component degrees from
-characters against the stage grading, and issues homogeneity certificates.
+tests reducedness (exactly from det N when the matrix is N diag(x), as for
+a thin dimension vector, else on random lines), derives component degrees
+from characters against the stage grading, and issues homogeneity
+certificates.
 
 f is only defined up to a nonzero scalar (any complement of the scalars in
 the product of general linear algebras works). Component degrees never
@@ -122,8 +124,9 @@ class ReducednessVerdict:
     seed: int
     witness_prime: int = None
     degree: int = None
-    anchor_trial: int = None  # 1-based line with the first nonsingular anchor
-    anchor: tuple = None      # that anchor a + s b, mod the line's prime
+    anchor_trial: int = None  # 1-based trial with the first nonsingular anchor
+    anchor: tuple = None      # that anchor a + s b mod the trial's prime;
+                              # (1, ..., 1) on a column-scaled pencil
 
     def to_json(self):
         out = {"verdict": self.value, "trials": self.trials,
@@ -135,37 +138,10 @@ class ReducednessVerdict:
         return out
 
 
-def _kernel_line(pencil: LinearPencil, a, b, fld):
-    """The first start a + s b, s = 0 ... n, where M is nonsingular, and
-    whether the restriction of f read there is squarefree of degree n; None
-    when M is singular at every start."""
-    p, n = fld.p, pencil.n
-    for shift in range(n + 1):
-        start = tuple((x + shift * y) % p for x, y in zip(a, b))
-        coeffs = pencil.det_line(start, b, fld)
-        if coeffs is not None:
-            poly = UnivariatePoly(fld, coeffs)
-            return start, poly.degree == n and poly.is_squarefree()
-    return None
-
-
-def _factored_line(det_n, a, b, p):
-    """_kernel_line for a column-scaled pencil M(x) = N diag(x), with
-    det_n = det N mod p: the restriction det N * prod_j (a_j + t b_j) is
-    read off its linear factors."""
-    if det_n:
-        for shift in range(len(a) + 1):
-            start = tuple((x + shift * y) % p for x, y in zip(a, b))
-            if all(start):
-                # degree n needs every b_j nonzero; squarefree, distinct roots
-                return start, all(b) and len(
-                    {x * pow(y, -1, p) % p for x, y in zip(a, b)}) == len(a)
-    return None
-
-
 def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
                      seed: int = 12345) -> ReducednessVerdict:
-    """Probabilistic reducedness of f via random affine lines over F_p.
+    """Probabilistic reducedness of f via random affine lines over F_p,
+    exact on column-scaled pencils.
 
     Each trial draws a line a + t b and reads the restriction of f to it off
     one start point in one pass (LinearPencil.det_line: one elimination and
@@ -191,16 +167,15 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
 
     A pencil whose every term sits in its own coordinate's column is
     column-scaled: M(x) = N diag(x) with N = M(1, ..., 1), so
-    f(a + t b) = det N * prod_j (a_j + t b_j). The Saito pencil of a thin d
-    (every entry of the support 1, as for the normal crossing divisor) is
-    one, since every arrow block is 1 x 1. Its lines skip det_line: det N
-    mod p is taken once per prime, M(a + s b) is nonsingular exactly when
-    det N and every a_j + s b_j are nonzero mod p, and the restriction has
-    degree n exactly when every b_j is nonzero. A product of linear factors
-    of degree n is squarefree exactly when its roots -a_j / b_j are
-    distinct. These are the decisions that det_line and is_squarefree make
-    on the same line, so verdict, trial count, witness prime and anchor are
-    those of the kernel path, which every other pencil takes.
+    f = det N * prod_j x_j. The Saito pencil of a thin d (every entry of the
+    support 1, as for the normal crossing divisor) is one, since every
+    arrow block is 1 x 1; so is the empty pencil, with det N = 1. Such a
+    pencil draws no line: each trial takes det N mod p. N has integer
+    entries, so det N != 0 mod p proves det N != 0, and f, a nonzero
+    integer times n distinct coordinates, is reduced of degree n. As
+    M(1, ..., 1) = N is then nonsingular mod p, (1, ..., 1) is the anchor,
+    at that trial. When p divides det N, f and every line vanish mod p,
+    and the next trial runs.
     """
     if primes is None:
         primes = (2**31 - 1,)
@@ -212,7 +187,6 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
     n = s.n
     terms = s.pencil.terms
     scaled = bool((terms[:, 1] == terms[:, 2]).all())
-    det_n = {}  # det N mod p of a column-scaled pencil, per prime
     rng = random.Random(seed)
     anchor_trial = anchor = None
     for trial in range(trials):
@@ -220,27 +194,27 @@ def reducedness_test(s: SaitoMatrix, trials: int = 3, primes=None,
         if p <= n:
             raise PrimeTooSmall(f"prime {p} <= degree {n}")
         fld = GF(p)
-        if n == 0:
-            # det of the empty matrix is 1: reduced of degree 0.
-            return ReducednessVerdict("reduced", trial + 1, primes, seed,
-                                      witness_prime=p, degree=0,
-                                      anchor_trial=1, anchor=())
+        if scaled:
+            if s.pencil.det((1,) * n, fld):
+                return ReducednessVerdict("reduced", trial + 1, primes, seed,
+                                          witness_prime=p, degree=n,
+                                          anchor_trial=trial + 1, anchor=(1,) * n)
+            continue
         a = [rng.randrange(p) for _ in range(n)]
         b = [rng.randrange(p) for _ in range(n)]
         if all(x == 0 for x in b):
             b[0] = 1
-        if scaled:
-            if p not in det_n:
-                det_n[p] = s.pencil.det((1,) * n, fld)
-            line = _factored_line(det_n[p], a, b, p)
+        for shift in range(n + 1):
+            start = tuple((x + shift * y) % p for x, y in zip(a, b))
+            coeffs = s.pencil.det_line(start, b, fld)
+            if coeffs is not None:
+                break
         else:
-            line = _kernel_line(s.pencil, a, b, fld)
-        if line is None:
             continue
-        start, certified = line
         if anchor_trial is None:
             anchor_trial, anchor = trial + 1, start
-        if certified:
+        poly = UnivariatePoly(fld, coeffs)
+        if poly.degree == n and poly.is_squarefree():
             return ReducednessVerdict("reduced", trial + 1, primes, seed,
                                       witness_prime=p, degree=n,
                                       anchor_trial=anchor_trial, anchor=anchor)
@@ -366,11 +340,12 @@ def component_degrees_report(q: Quiver, d, config: Config) -> dict:
     if not is_sincere(d):
         q, d = support_pair(q, d)
         report["support_restricted"] = True
-    if not q.is_connected() or not is_tree(q):
+    if not is_tree(q):
         report["reason"] = "component degrees need a connected tree quiver"
         return report
-    if tits_form(q, d) != 1:
-        report["reason"] = f"q_Q(d) = {tits_form(q, d)} != 1"
+    qval = tits_form(q, d)
+    if qval != 1:
+        report["reason"] = f"q_Q(d) = {qval} != 1"
         return report
     field = config.field()
     rng = config.rng()
@@ -463,17 +438,29 @@ def _weak_grouping(ext, route) -> HomogeneityCertificate:
     """The first 2-grouping (G1, G2), in bitmask order of G2, with
     ext(G2, G1) = 0, where ext[i][j] says Ext(part i, part j) != 0.
 
-    On an acyclic ext digraph that is G2 = {s} for the lowest-index sink s:
-    every G2 without ext into G1 contains a sink, so its bitmask is >= 1 << s.
+    Such a G2 is closed under i -> j for ext[i][j], so with each of its
+    parts it holds that part's closure, whose bitmask is no larger. The
+    first G2 is thus the proper closure of one part with the smallest
+    bitmask. On an acyclic ext digraph that is G2 = {s} for the lowest-index
+    sink s.
     """
     k = len(ext)
-    for mask in range(1, 2 ** k - 1):
-        g2 = [i for i in range(k) if mask >> i & 1]
-        g1 = [i for i in range(k) if not mask >> i & 1]
-        if not any(ext[b][a] for b in g2 for a in g1):
-            return HomogeneityCertificate("weakly", grouping=(tuple(g1), tuple(g2)),
-                                          route=route)
-    return HomogeneityCertificate("none_found", route=route)
+    masks = []
+    for i in range(k):
+        closure, todo = {i}, [i]
+        while todo:
+            row = ext[todo.pop()]
+            new = {j for j in range(k) if row[j]} - closure
+            closure |= new
+            todo += new
+        if len(closure) < k:
+            masks.append(sum(1 << j for j in closure))
+    if not masks:
+        return HomogeneityCertificate("none_found", route=route)
+    mask = min(masks)
+    g2 = tuple(i for i in range(k) if mask >> i & 1)
+    g1 = tuple(i for i in range(k) if not mask >> i & 1)
+    return HomogeneityCertificate("weakly", grouping=(g1, g2), route=route)
 
 
 def quasihom_certificate(q: Quiver, d, parts,

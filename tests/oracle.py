@@ -410,8 +410,11 @@ def single_coordinate_basis_check(s) -> bool:
 
 def reducedness_reference(s, trials: int = 3, primes=None,
                           seed: int = 12345) -> ReducednessVerdict:
-    """saito.reducedness_test with every line read by LinearPencil.det_line
-    and UnivariatePoly.is_squarefree, whatever the shape of the pencil."""
+    """The random-line test of saito.reducedness_test on every pencil: each
+    line read by LinearPencil.det_line and UnivariatePoly.is_squarefree.
+    reducedness_test decides a column-scaled pencil exactly from det N
+    instead, so there it certifies wherever this does, at a trial no later,
+    and also where every line here missed."""
     primes = (2**31 - 1,) if primes is None else tuple(primes)
     n = s.n
     rng = random.Random(seed)
@@ -564,6 +567,13 @@ def ext_digraph_certificate(ext, route):
                 return HomogeneityCertificate("weakly", grouping=(rest, (i,)),
                                               route=route)
     # Last resort: scan all 2-groupings for ext(G2, G1) = 0.
+    return weak_grouping_scan(ext, route)
+
+
+def weak_grouping_scan(ext, route):
+    """saito._weak_grouping by a scan of all 2^k bitmasks of G2: the first
+    2-grouping (G1, G2) with ext(G2, G1) = 0, or none_found."""
+    k = len(ext)
     for mask in range(1, 2 ** k - 1):
         g2 = [i for i in range(k) if mask >> i & 1]
         g1 = [i for i in range(k) if not mask >> i & 1]

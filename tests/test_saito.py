@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qlfd.saito
 from qlfd import (GF, Quiver, build_saito_matrix, component_degrees_report, degree_sum_check,
@@ -20,14 +20,14 @@ from qlfd.quiver import euler_matrix, rep_dimension
 from qlfd.reps import (HomExtReport, Representation, SchurVerdict, build_c_matrix,
                        coords_from_rep, is_brick, rep_from_coords)
 from qlfd.roots import positive_real_roots
-from qlfd.saito import SaitoMatrix, _weak_grouping
+from qlfd.saito import ReducednessVerdict, SaitoMatrix, _weak_grouping
 
 from conftest import (E7_JSON, a2, a3, cycle, d4_in, d4_out, kronecker,
                       random_tree_quiver)
 from oracle import (MultiPoly, bareiss_det, component_degree, expand_f_symbolic,
                     ext_digraph_certificate, full_box_degrees, product,
                     quadratic_gram_rank, reducedness_reference,
-                    single_coordinate_basis_check)
+                    single_coordinate_basis_check, weak_grouping_scan)
 
 F = GF(2**31 - 1)
 CFG = Config()
@@ -214,6 +214,27 @@ def test_lfd_zero_dimension_vector():
         "verdict": "not_linear_free", "q_value": None, "dim_rep": None,
         "degree": None, "reasons": ["dimension vector not positive"], "method": [],
         "provenance": CFG.provenance(), "schur": None, "reduced": None}
+
+
+def _a7_path():
+    return Quiver(tuple("1234567"), tuple((str(i), str(i + 1)) for i in range(1, 7)))
+
+
+def _five_leaf_star():
+    return Quiver(tuple("123456"), tuple((str(i), "6") for i in range(1, 6)))
+
+
+@pytest.mark.parametrize("quiver,prime", [(_a7_path, 7), (_a7_path, 11),
+                                          (_a7_path, 13), (_five_leaf_star, 7)])
+def test_lfd_normal_crossings_at_small_primes(quiver, prime):
+    # a thin d on a tree gives f = det N * prod_a x_a with det N = +-1; at a
+    # prime close to dim Rep every random line used to miss, and lfd printed
+    # not_linear_free
+    q = quiver()
+    rep = lfd_verdict(q, (1,) * q.n_vertices, Config(prime=prime))
+    assert rep.verdict == "linear_free"
+    assert (rep.reduced.trials, rep.reduced.witness_prime) == (1, prime)
+    assert rep.schur == SchurVerdict("yes", 1)
 
 
 def test_lfd_report_provenance():
@@ -563,10 +584,9 @@ def test_quasihom_tube_route(e7_pair):
     assert cert.route == "tube"
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_weak_grouping_matches_three_stage_oracle(data):
-    k = data.draw(st.integers(min_value=2, max_value=6))
+def _ext_table(data, max_parts):
+    """A random ext table on 2 ... max_parts parts, acyclic half the time."""
+    k = data.draw(st.integers(min_value=2, max_value=max_parts))
     ext = data.draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
                              min_size=k, max_size=k))
     if data.draw(st.booleans()):
@@ -574,6 +594,31 @@ def test_weak_grouping_matches_three_stage_oracle(data):
         rank = {v: r for r, v in enumerate(data.draw(st.permutations(range(k))))}
         ext = [[x and (i == j or rank[i] > rank[j]) for j, x in enumerate(row)]
                for i, row in enumerate(ext)]
+    return ext
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_weak_grouping_matches_the_bitmask_scan(data):
+    ext = _ext_table(data, 8)
+    assert _weak_grouping(ext, "tube") == weak_grouping_scan(ext, "tube")
+
+
+def test_weak_grouping_of_many_tube_parts():
+    # 40 parts alternating between the two simples of a period-2 tube of
+    # D~4: each has Ext into the other, so no 2-grouping has ext(G2, G1) = 0
+    q = Quiver(("1", "2", "3", "4", "5"),
+               (("1", "5"), ("2", "5"), ("3", "5"), ("4", "5")))
+    parts = [(0, 0, 1, 1, 1), (1, 1, 0, 0, 1)] * 20
+    cert = quasihom_certificate(q, (20, 20, 20, 20, 40), parts)
+    assert (cert.value, cert.route) == ("none_found", "tube")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_weak_grouping_matches_three_stage_oracle(data):
+    ext = _ext_table(data, 6)
+    k = len(ext)
     assert _weak_grouping(ext, "tube") == ext_digraph_certificate(ext, "tube")
     # the concrete route, with Ext read off the table
     q = Quiver(("1",), ())
@@ -661,6 +706,10 @@ def test_line_anchor_is_a_brick(seed, p, trials):
     assert all(0 <= x < p for x in red.anchor)
     assert is_brick(rep_from_coords(q, d, red.anchor, field))
     assert s.det_at(red.anchor, field) != 0
+    if (s.pencil.terms[:, 1] == s.pencil.terms[:, 2]).all():
+        # a thin d: N = M(1, ..., 1) has det +-1, and no line is drawn
+        assert (red.anchor_trial, red.anchor) == (1, (1,) * s.n)
+        return
     # replaying the line draws, the anchor is the first start a + s b,
     # s <= n, where M is nonsingular, on the first line that has one
     draw = random.Random(seed)
@@ -687,37 +736,11 @@ def _column_scaled_pencil(rng, n, p):
     return SaitoMatrix(None, None, (), LinearPencil(n, terms))
 
 
-def _line_branches(s, red):
-    """What decided each line that the line test read, replayed from its
-    draws with det N taken over the integers."""
-    n = s.n
-    ones = np.zeros((n, n), dtype=object)
-    for i, j, _, c in s.pencil.terms.tolist():
-        ones[i, j] += c
-    det_n = int(bareiss_det(ones.tolist()))
-    draw = random.Random(red.seed)
-    for trial in range(red.trials):
-        p = red.primes[trial % len(red.primes)]
-        a = [draw.randrange(p) for _ in range(n)]
-        b = [draw.randrange(p) for _ in range(n)]
-        if not any(b):
-            b[0] = 1
-        if det_n % p == 0:
-            yield "det N = 0"
-        elif not any(all((x + k * y) % p for x, y in zip(a, b)) for k in range(n + 1)):
-            yield "no nonsingular shift"
-        elif not all(b):
-            yield "zero b_j"
-        elif len({x * pow(y, -1, p) % p for x, y in zip(a, b)}) < n:
-            yield "repeated ratio"
-        else:
-            yield "certified"
-
-
-def test_factored_lines_match_the_kernel_path():
-    # on a column-scaled pencil every line is read off its linear factors;
-    # the kernel path reaches the same verdict, trial count, witness prime,
-    # degree and anchor, on every branch of the factored reading
+def test_column_scaled_pencils_are_decided_from_det_n():
+    # f = det N * prod_j x_j on M(x) = N diag(x): reduced at the first trial
+    # whose prime does not divide det N, anchored at (1, ..., 1), and
+    # identically zero when every prime divides it; wherever the line-by-line
+    # reference certifies, so does the test, at a trial no later
     taken = Counter()
 
     @settings(max_examples=300, deadline=None)
@@ -726,7 +749,10 @@ def test_factored_lines_match_the_kernel_path():
                            min_size=1, max_size=2),
            trials=st.integers(min_value=1, max_value=4),
            tree=st.booleans())
-    def agree(seed, primes, trials, tree):
+    # every line of the reference vanishes, yet det N != 0 mod the prime
+    @example(seed=261, primes=[3], trials=1, tree=False)
+    @example(seed=7, primes=[3, 5], trials=2, tree=False)  # ... at trial 2
+    def exact(seed, primes, trials, tree):
         rng = random.Random(seed)
         top = min(min(primes) - 1, 6)  # the line test needs p > n
         if tree:
@@ -734,11 +760,36 @@ def test_factored_lines_match_the_kernel_path():
             s = build_saito_matrix(q, (1,) * q.n_vertices)
         else:
             s = _column_scaled_pencil(rng, rng.randint(1, top), primes[0])
+        n = s.n
         assert (s.pencil.terms[:, 1] == s.pencil.terms[:, 2]).all()
+        ones = np.zeros((n, n), dtype=object)
+        for i, j, _, c in s.pencil.terms.tolist():
+            ones[i, j] += c
+        det_n = int(bareiss_det(ones.tolist()))
         red = reducedness_test(s, trials, primes, seed)
-        assert red == reducedness_reference(s, trials, primes, seed)
-        taken.update(_line_branches(s, red))
+        ref = reducedness_reference(s, trials, primes, seed)
+        first = next((t for t in range(trials) if det_n % primes[t % len(primes)]),
+                     None)
+        if first is None:
+            assert red == ReducednessVerdict("identically_zero", trials,
+                                             tuple(primes), seed)
+            assert ref == red
+        else:
+            assert red == ReducednessVerdict(
+                "reduced", first + 1, tuple(primes), seed,
+                witness_prime=primes[first % len(primes)], degree=n,
+                anchor_trial=first + 1, anchor=(1,) * n)
+            if ref.value == "reduced":
+                assert red.trials <= ref.trials
+        taken.update([("reference", ref.value, red.value),
+                      "det N = 0 mod every prime" if first is None
+                      else "reduced at trial 1" if first == 0
+                      else "reduced at a later trial"])
 
-    agree()
-    assert set(taken) == {"det N = 0", "no nonsingular shift", "zero b_j",
-                          "repeated ratio", "certified"}, taken
+    exact()
+    assert set(taken) == {"reduced at trial 1", "reduced at a later trial",
+                          "det N = 0 mod every prime",
+                          ("reference", "reduced", "reduced"),
+                          ("reference", "not_reduced", "reduced"),
+                          ("reference", "identically_zero", "reduced"),
+                          ("reference", "identically_zero", "identically_zero")}, taken
